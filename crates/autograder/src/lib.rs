@@ -16,6 +16,7 @@
 //!   nor add new statements — the fundamental limitations discussed in
 //!   Appendix B of the paper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -2,6 +2,8 @@
 //! sizes (tree-edit-distance of the repair divided by the AST size of the
 //! attempt) over all repaired MOOC attempts.
 
+#![forbid(unsafe_code)]
+
 use clara_bench::{emit_json_report, run_clara, RunMode};
 use clara_corpus::mooc::all_mooc_problems;
 use serde::Serialize;

@@ -5,6 +5,8 @@
 //! modify fewer expressions than the other. Panel (b): the overall
 //! distribution of the number of modified expressions per repair, per tool.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use clara_autograder::ErrorModel;

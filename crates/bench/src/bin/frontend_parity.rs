@@ -16,6 +16,8 @@
 //! Writes `BENCH_frontends.json` in `--smoke` mode (uploaded by CI next to
 //! the other bench artifacts).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use clara_bench::{average, emit_json_report, RunMode};

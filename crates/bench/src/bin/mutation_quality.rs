@@ -14,6 +14,8 @@
 //! `--smoke` mode it also enforces the corpus contract: ≥ 25 distinct
 //! wrong-answer mutants per problem across ≥ 2 problems in each language.
 
+#![forbid(unsafe_code)]
+
 use clara_bench::{emit_json_report, RunMode};
 use clara_core::{ClaraConfig, DifferentialOracle, OracleVerdict};
 use clara_corpus::minic::{fibonacci_c, special_number_c};

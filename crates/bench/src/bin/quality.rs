@@ -13,6 +13,8 @@
 //!   whole-program rewrite (the paper's category (d));
 //! * **not-repaired** — no repair was produced.
 
+#![forbid(unsafe_code)]
+
 use clara_bench::{emit_json_report, run_clara, RunMode};
 use clara_corpus::mooc::all_mooc_problems;
 use serde::Serialize;

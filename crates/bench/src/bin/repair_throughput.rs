@@ -8,6 +8,8 @@
 //! `--smoke` mode the JSON report (with a top-level `repairs_per_sec`
 //! field) is mirrored to stdout and `BENCH_throughput.json`.
 
+#![forbid(unsafe_code)]
+
 use clara_bench::{emit_json_report, run_clara, RunMode};
 use clara_corpus::mooc::all_mooc_problems;
 use serde::Serialize;

@@ -14,6 +14,8 @@
 //! `BENCH_retrieval.json`; the full run covers 10k and writes the same
 //! file.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use clara_bench::{emit_json_report, RunMode};

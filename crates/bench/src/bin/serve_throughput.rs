@@ -16,6 +16,8 @@
 //! `BENCH_serve.json`; CI guards the aggregate req/s against the committed
 //! baseline.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -989,10 +991,7 @@ fn main() {
     };
 
     let service = Arc::new(FeedbackService::new(warm_stores, ServiceConfig::default()));
-    let mut server = Server::new(
-        Arc::clone(&service),
-        ServerConfig { workers: 4, queue_capacity: 32, ..ServerConfig::default() },
-    );
+    let mut server = Server::new(Arc::clone(&service), ServerConfig { workers: 4, queue_capacity: 32 });
     let (reply, responses) = channel::<(Status, f64)>();
     let replay_start = Instant::now();
     for request in &workload {

@@ -7,6 +7,8 @@
 //! correct pool, repairs every incorrect attempt with both Clara and the
 //! AutoGrader baseline, and prints the same columns the paper reports.
 
+#![forbid(unsafe_code)]
+
 use clara_autograder::ErrorModel;
 use clara_bench::{emit_json_report, format_seconds, run_autograder, run_clara, RunMode};
 use clara_corpus::mooc::all_mooc_problems;

@@ -9,6 +9,8 @@
 //! grades (1–5) came from human participants and cannot be reproduced; the
 //! paper's numbers are reprinted for reference.
 
+#![forbid(unsafe_code)]
+
 use clara_bench::{emit_json_report, format_seconds, run_clara, RunMode};
 use clara_corpus::study::all_study_problems;
 use clara_corpus::{generate_dataset, DatasetConfig};

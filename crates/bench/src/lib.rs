@@ -17,6 +17,7 @@
 //! of each distribution lies — is the reproduction target. See
 //! `EXPERIMENTS.md` for the recorded comparison.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -41,6 +41,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -54,7 +55,6 @@ pub mod matching;
 pub mod oracle;
 pub mod repair;
 pub mod sigcache;
-pub mod snapshot;
 pub mod timing;
 
 pub use align::{alignment_candidates, realign_attempt, traces_agree};
@@ -72,7 +72,6 @@ pub use repair::{
     RepairConfig, RepairFailure, RepairResult, RetrievalOutcome,
 };
 pub use sigcache::{SignatureCache, ValueSignature};
-pub use snapshot::{Snapshot, SnapshotCell};
 pub use timing::{Span, Stage, StageSink, StageTimer};
 
 use clara_lang::Value;

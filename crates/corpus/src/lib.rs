@@ -25,6 +25,7 @@
 //! assert!(dataset.incorrect.iter().all(|a| !a.is_correct));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

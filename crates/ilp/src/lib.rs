@@ -25,6 +25,7 @@
 //! assert_eq!(solution.objective, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -157,17 +157,15 @@ impl<V: Clone> StripedCache<V> {
 
     /// Looks up `key`, cloning the value out on a hit.
     pub fn get(&self, key: u64) -> Option<V> {
-        let value = self.segment(key).lock().expect("cache segment poisoned").get(key).cloned();
-        match value {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let value = self.recheck(key);
+        if value.is_some() { &self.hits } else { &self.misses }.fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    /// Looks up `key` like [`get`](Self::get) without counting the lookup:
+    /// a second look at a key whose miss was already counted.
+    pub(crate) fn recheck(&self, key: u64) -> Option<V> {
+        self.segment(key).lock().expect("cache segment poisoned").get(key).cloned()
     }
 
     /// Inserts (or refreshes) `key` in its segment.

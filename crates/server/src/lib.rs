@@ -15,8 +15,9 @@
 //! * [`pool`] — a hand-rolled, panic-isolated **worker pool** over
 //!   `std::thread` with a bounded job queue for backpressure (the build
 //!   environment is offline: no tokio);
-//! * [`service`] — the **sharded pipeline**: one independently locked shard
-//!   per problem behind the shared cache;
+//! * [`service`] — the **sharded pipeline**: one shard per problem, each
+//!   serving an `Arc` snapshot of its store behind a std `RwLock`, behind
+//!   the shared cache;
 //! * [`protocol`] / [`serve`] — the **front ends**: newline-delimited JSON
 //!   over stdin/stdout and a minimal `TcpListener` HTTP endpoint
 //!   (`POST /repair`, `GET /health`), both wired into `clara-cli` as the

@@ -989,8 +989,7 @@ mod tests {
         let seeds: Vec<&str> = problem.seeds.clone();
         let (store, _) = ClusterStore::build(&problem, seeds, ClaraConfig::default());
         let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
-        let server =
-            Arc::new(Server::new(service, ServerConfig { workers: 2, queue_capacity: 8, max_batch: 4 }));
+        let server = Arc::new(Server::new(service, ServerConfig { workers: 2, queue_capacity: 8 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let event_loop = EventLoop::new(Backend::local(server), EventLoopConfig::default())
@@ -1086,8 +1085,7 @@ mod tests {
         let seeds: Vec<&str> = problem.seeds.clone();
         let (store, _) = ClusterStore::build(&problem, seeds, ClaraConfig::default());
         let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
-        let server =
-            Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4, max_batch: 4 }));
+        let server = Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let config = EventLoopConfig { max_buffer: 1024, ..EventLoopConfig::default() };
@@ -1118,8 +1116,7 @@ mod tests {
         let seeds: Vec<&str> = problem.seeds.clone();
         let (store, _) = ClusterStore::build(&problem, seeds, ClaraConfig::default());
         let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
-        let server =
-            Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4, max_batch: 4 }));
+        let server = Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let config = EventLoopConfig {

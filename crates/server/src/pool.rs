@@ -9,17 +9,12 @@
 //! `Arc<Mutex<Receiver>>` — every dequeue serialized the whole pool on that
 //! lock, so idle workers woke up just to contend for it. With per-worker
 //! queues a dequeue is lock-free from the pool's point of view and workers
-//! only ever touch their own channel.
+//! only ever touch their own channel. A worker takes one job at a time and
+//! hands it to the handler.
 //!
-//! Workers drain in **batches**: after blocking for the first job, a worker
-//! opportunistically takes up to `max_batch - 1` more already-queued jobs
-//! and hands the whole batch to the handler in one call. Batch handlers
-//! amortise per-wakeup costs — the feedback service loads each problem's
-//! index snapshot once per batch and deduplicates structurally identical
-//! submissions within it.
-//!
-//! Workers are panic-isolated: a batch whose handler panics is counted and
-//! dropped, and the worker keeps serving subsequent jobs.
+//! Workers are panic-isolated: a job whose handler panics is counted and
+//! dropped (unwinding drops whatever the job owned), and the worker keeps
+//! serving subsequent jobs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -61,7 +56,7 @@ const MIN_PARK: Duration = Duration::from_millis(1);
 const MAX_PARK: Duration = Duration::from_millis(50);
 
 /// A fixed-size pool of panic-isolated worker threads, each draining its
-/// own bounded job queue in batches.
+/// own bounded job queue.
 pub struct WorkerPool<J: Send + 'static> {
     /// One bounded sender per worker; `None` after shutdown.
     senders: Vec<SyncSender<J>>,
@@ -84,27 +79,7 @@ impl<J: Send + 'static> WorkerPool<J> {
     /// At most `queue_capacity` jobs wait per worker; submissions prefer
     /// idle workers and block only when every queue is full (backpressure).
     pub fn new(workers: usize, queue_capacity: usize, handler: impl Fn(J) + Send + Sync + 'static) -> Self {
-        // max_batch = 1 keeps the one-job-at-a-time contract (and its
-        // per-job panic accounting) for callers that don't batch.
-        Self::new_batched(workers, queue_capacity, 1, move |batch| {
-            for job in batch {
-                handler(job);
-            }
-        })
-    }
-
-    /// Spawns `workers` threads handling jobs in batches of up to
-    /// `max_batch` with `handler`. A worker blocks for its first job, then
-    /// drains whatever else is already queued (up to the batch limit) and
-    /// hands the whole batch to one handler call.
-    pub fn new_batched(
-        workers: usize,
-        queue_capacity: usize,
-        max_batch: usize,
-        handler: impl Fn(Vec<J>) + Send + Sync + 'static,
-    ) -> Self {
         let workers = workers.max(1);
-        let max_batch = max_batch.max(1);
         let handler = Arc::new(handler);
         let panics = Arc::new(AtomicU64::new(0));
         let queued = Arc::new(AtomicU64::new(0));
@@ -120,9 +95,7 @@ impl<J: Send + 'static> WorkerPool<J> {
                 let park = Arc::clone(&park);
                 std::thread::Builder::new()
                     .name(format!("clara-worker-{index}"))
-                    .spawn(move || {
-                        worker_loop(&receiver, max_batch, handler.as_ref(), &panics, &queued, &park)
-                    })
+                    .spawn(move || worker_loop(&receiver, handler.as_ref(), &panics, &queued, &park))
                     .expect("spawning a worker thread")
             })
             .collect();
@@ -259,27 +232,15 @@ impl<J: Send + 'static> Drop for WorkerPool<J> {
 
 fn worker_loop<J>(
     receiver: &Receiver<J>,
-    max_batch: usize,
-    handler: &(impl Fn(Vec<J>) + ?Sized),
+    handler: &(impl Fn(J) + ?Sized),
     panics: &AtomicU64,
     queued: &AtomicU64,
     park: &ParkLot,
 ) {
-    loop {
-        // Block for the first job; queue closed and drained means exit.
-        let Ok(first) = receiver.recv() else { return };
-        let mut batch = Vec::with_capacity(max_batch.min(16));
-        batch.push(first);
-        // Opportunistic drain: whatever is already queued rides along in
-        // this wakeup, up to the batch limit.
-        while batch.len() < max_batch {
-            match receiver.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
-        }
-        queued.fetch_sub(batch.len() as u64, Ordering::Relaxed);
-        // Every received job freed a queue slot; wake submitters parked on
+    // Queue closed and drained means exit.
+    while let Ok(job) = receiver.recv() {
+        queued.fetch_sub(1, Ordering::Relaxed);
+        // The received job freed a queue slot; wake submitters parked on
         // full queues. The generation bump must happen under the lock (see
         // `ParkLot`) or a submitter between its failed pass and its wait
         // would sleep through this notification.
@@ -288,9 +249,8 @@ fn worker_loop<J>(
             *slots += 1;
         }
         park.freed.notify_all();
-        let lost = batch.len() as u64;
-        if catch_unwind(AssertUnwindSafe(|| handler(batch))).is_err() {
-            panics.fetch_add(lost, Ordering::Relaxed);
+        if catch_unwind(AssertUnwindSafe(|| handler(job))).is_err() {
+            panics.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -442,36 +402,6 @@ mod tests {
         }
         submitter.join().unwrap().unwrap();
         drop(release);
-    }
-
-    #[test]
-    fn batched_workers_drain_queued_jobs_in_one_wakeup() {
-        let batches: Arc<Mutex<Vec<usize>>> = Arc::default();
-        let seen = Arc::clone(&batches);
-        let (release, gate) = channel::<()>();
-        let gate = Mutex::new(gate);
-        let mut pool = WorkerPool::new_batched(1, 16, 8, move |batch: Vec<usize>| {
-            seen.lock().unwrap().push(batch.len());
-            let _ = gate.lock().unwrap().recv();
-        });
-        // First job wakes the worker (batch of 1, then blocks in the
-        // handler); nine more queue up behind it and must drain as two
-        // batches of 8 and 1.
-        pool.submit(0).unwrap();
-        while pool.queued() > 0 {
-            std::thread::yield_now();
-        }
-        for n in 1..10 {
-            pool.submit(n).unwrap();
-        }
-        for _ in 0..3 {
-            release.send(()).unwrap();
-        }
-        pool.shutdown();
-        let sizes = batches.lock().unwrap().clone();
-        assert_eq!(sizes.iter().sum::<usize>(), 10, "every job handled: {sizes:?}");
-        assert!(sizes.len() < 10, "queued jobs must coalesce into batches: {sizes:?}");
-        assert!(sizes.iter().all(|s| *s <= 8), "batch limit respected: {sizes:?}");
     }
 
     #[test]

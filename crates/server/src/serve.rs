@@ -1,12 +1,12 @@
-//! Front ends: the batched server wrapper, the stdin/stdout NDJSON loop and
+//! Front ends: the pooled server wrapper, the stdin/stdout NDJSON loop and
 //! the HTTP endpoint (served by the poll(2) event loop in [`crate::net`]).
 //!
 //! All front ends funnel requests through the same [`WorkerPool`] into the
-//! shared [`FeedbackService`]; the bounded per-worker queues give the
-//! service backpressure (a flooding client blocks or is shed instead of
-//! ballooning memory). Workers drain requests in batches, so the service
-//! amortises snapshot resolution and deduplicates identical submissions
-//! arriving close together.
+//! shared [`FeedbackService`], one request per [`FeedbackService::handle`]
+//! call; the bounded per-worker queues give the service backpressure (a
+//! flooding client blocks or is shed instead of ballooning memory). Every
+//! submitted request is answered exactly once: if its handler panics, the
+//! reply still goes out as an internal error.
 
 use std::io::{BufRead, BufWriter, Write};
 use std::net::TcpListener;
@@ -26,15 +26,11 @@ pub struct ServerConfig {
     /// Bounded job-queue capacity **per worker** (submission blocks or is
     /// shed when every queue is full).
     pub queue_capacity: usize,
-    /// Most requests one worker drains per wakeup; the whole batch is
-    /// answered with one service call (one snapshot resolution per shard,
-    /// batch-local dedup of identical submissions).
-    pub max_batch: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig { workers: default_workers(), queue_capacity: 64, max_batch: 16 }
+        ServerConfig { workers: default_workers(), queue_capacity: 64 }
     }
 }
 
@@ -52,10 +48,39 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
-type Job = (Request, Box<dyn FnOnce(Response) + Send>);
+type Callback = Box<dyn FnOnce(Response) + Send>;
+type Job = (Request, Callback);
 
-/// A [`FeedbackService`] behind a panic-isolated, batch-draining worker
-/// pool.
+/// A running request's response callback, answered exactly once. Dropping
+/// it unanswered — a handler panic unwinding past it — sends an
+/// internal-error response instead, so the client is never left waiting.
+struct Reply {
+    id: u64,
+    trace: Option<String>,
+    callback: Option<Callback>,
+}
+
+impl Reply {
+    fn new(request: &Request, callback: Callback) -> Reply {
+        Reply { id: request.id, trace: request.trace.clone(), callback: Some(callback) }
+    }
+
+    fn send(mut self, response: Response) {
+        if let Some(callback) = self.callback.take() {
+            callback(response);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(callback) = self.callback.take() {
+            callback(Response::error(self.id, "internal error").with_trace(self.trace.take()));
+        }
+    }
+}
+
+/// A [`FeedbackService`] behind a panic-isolated worker pool.
 pub struct Server {
     service: Arc<FeedbackService>,
     pool: WorkerPool<Job>,
@@ -66,18 +91,12 @@ impl Server {
     /// Spawns the worker pool over `service`.
     pub fn new(service: Arc<FeedbackService>, config: ServerConfig) -> Self {
         let handler_service = Arc::clone(&service);
-        let pool = WorkerPool::new_batched(
-            config.workers,
-            config.queue_capacity,
-            config.max_batch,
-            move |jobs: Vec<Job>| {
-                let (requests, replies): (Vec<Request>, Vec<_>) = jobs.into_iter().unzip();
-                let responses = handler_service.handle_batch(&requests);
-                for (reply, response) in replies.into_iter().zip(responses) {
-                    reply(response);
-                }
-            },
-        );
+        let pool = WorkerPool::new(config.workers, config.queue_capacity, move |(request, callback): Job| {
+            // Armed only once a worker runs the job: a job the pool hands
+            // back (full queues, shutdown) is the submitter's to answer.
+            let reply = Reply::new(&request, callback);
+            reply.send(handler_service.handle(&request));
+        });
         Server { service, pool, shed: AtomicU64::new(0) }
     }
 
@@ -121,7 +140,8 @@ impl Server {
         self.service.handle(request)
     }
 
-    /// Number of jobs lost to handler panics (workers survive them).
+    /// Number of requests whose handler panicked; each was answered with an
+    /// internal error, and the workers survive.
     pub fn panic_count(&self) -> u64 {
         self.pool.panic_count()
     }
@@ -334,7 +354,7 @@ mod tests {
 
     #[test]
     fn ndjson_round_trip_over_in_memory_pipes() {
-        let mut server = test_server(ServerConfig { workers: 2, queue_capacity: 4, max_batch: 4 });
+        let mut server = test_server(ServerConfig { workers: 2, queue_capacity: 4 });
         let input = [
             ndjson_request(1, "def computeDeriv(poly):\n    return poly\n"),
             "not json".to_owned(),
@@ -371,7 +391,7 @@ mod tests {
 
     #[test]
     fn submit_delivers_responses_through_the_pool() {
-        let mut server = test_server(ServerConfig { workers: 2, queue_capacity: 8, max_batch: 4 });
+        let mut server = test_server(ServerConfig { workers: 2, queue_capacity: 8 });
         let (reply, responses) = channel::<Response>();
         for id in 0..6u64 {
             let reply: Sender<Response> = reply.clone();
@@ -396,13 +416,38 @@ mod tests {
         let collected: Vec<Response> = responses.iter().collect();
         assert_eq!(collected.len(), 6);
         assert!(collected.iter().all(|r| r.status == crate::protocol::Status::Correct));
-        // All but the first are structural duplicates → cache or batch hits.
+        // All but the first are structural duplicates → cache hits.
         assert_eq!(collected.iter().filter(|r| r.cache_hit).count(), 5);
     }
 
     #[test]
+    fn unanswered_replies_send_an_internal_error() {
+        let (reply, responses) = channel::<Response>();
+        let request = Request {
+            id: 42,
+            problem: "derivatives".to_owned(),
+            lang: None,
+            source: String::new(),
+            learn: None,
+            trace: Some("00000000000000aa".to_owned()),
+        };
+        drop(Reply::new(
+            &request,
+            Box::new(move |response| {
+                let _ = reply.send(response);
+            }),
+        ));
+        let response = responses.try_recv().expect("a dropped reply must answer");
+        assert_eq!(response.id, 42);
+        assert_eq!(response.status, crate::protocol::Status::Error);
+        assert_eq!(response.error.as_deref(), Some("internal error"));
+        assert_eq!(response.trace.as_deref(), Some("00000000000000aa"));
+        assert!(responses.try_recv().is_err(), "exactly one answer");
+    }
+
+    #[test]
     fn http_endpoint_answers_repair_health_and_stats() {
-        let server = Arc::new(test_server(ServerConfig { workers: 1, queue_capacity: 4, max_batch: 4 }));
+        let server = Arc::new(test_server(ServerConfig { workers: 1, queue_capacity: 4 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let loop_server = Arc::clone(&server);
@@ -466,7 +511,7 @@ mod tests {
         // The old front end accepted sequentially: a slow client blocked
         // everyone behind it. The event loop multiplexes: a connection that
         // has sent only half its request must not delay a complete one.
-        let server = Arc::new(test_server(ServerConfig { workers: 1, queue_capacity: 4, max_batch: 4 }));
+        let server = Arc::new(test_server(ServerConfig { workers: 1, queue_capacity: 4 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let loop_server = Arc::clone(&server);
@@ -490,7 +535,7 @@ mod tests {
 
     #[test]
     fn http_malformed_requests_get_clean_400s() {
-        let server = Arc::new(test_server(ServerConfig { workers: 1, queue_capacity: 4, max_batch: 4 }));
+        let server = Arc::new(test_server(ServerConfig { workers: 1, queue_capacity: 4 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let loop_server = Arc::clone(&server);
@@ -540,7 +585,7 @@ mod tests {
 
     #[test]
     fn stats_report_tracks_queue_and_cache() {
-        let server = test_server(ServerConfig { workers: 1, queue_capacity: 4, max_batch: 4 });
+        let server = test_server(ServerConfig { workers: 1, queue_capacity: 4 });
         let request = Request {
             id: 1,
             problem: "derivatives".to_owned(),

@@ -1,13 +1,13 @@
-//! The snapshot-fronted, sharded feedback service.
+//! The sharded feedback service.
 //!
-//! A [`FeedbackService`] owns one shard per problem. Each shard publishes
-//! its [`ClusterStore`] through a [`SnapshotCell`]: readers (`handle` /
-//! `handle_batch`) grab an immutable `Arc` snapshot and run the whole
-//! repair pipeline against it **without holding any lock** — a learn that
-//! republishes the index never stalls an in-flight repair, and a repair
-//! never delays a learn. Writers serialize on a small per-shard mutex,
-//! clone-and-extend the store off-path ([`ClusterStore::with_learned`]) and
-//! publish the successor with one atomic pointer swap.
+//! A [`FeedbackService`] owns one shard per problem. Each shard keeps its
+//! current [`ClusterStore`] as an `Arc` snapshot behind a std `RwLock`: a
+//! request takes the read lock only long enough to clone the `Arc`, then
+//! runs the whole repair pipeline against that immutable snapshot without
+//! holding any lock. A learn serializes with other learns on a per-shard
+//! mutex, builds the successor store outside the `RwLock`
+//! ([`ClusterStore::with_learned`]) and takes the write lock only to swap the
+//! new `Arc` in, so readers never wait on a learn's clone-and-insert.
 //!
 //! The result cache in front is a [`StripedCache`]: independently locked
 //! LRU segments keyed by a splitmix-mixed combination of shard, language,
@@ -15,20 +15,17 @@
 //! generation into the key makes cache invalidation free: publishing a new
 //! index rotates that shard's keys, so stale feedback simply stops being
 //! addressable and ages out of the LRU — no scan, no epoch bookkeeping.
-//!
-//! Batches amortise the remaining per-request costs: a worker draining `K`
-//! queued requests resolves each shard's snapshot once and answers
-//! structurally identical submissions within the batch from the first
-//! computation.
+//! Concurrent duplicates of a submission that missed the cache share one
+//! computation through single-flight coalescing.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 
 use clara_core::timing::{self, Stage, StageTimer};
-use clara_core::{frontend, ClaraConfig, Snapshot, SnapshotCell};
+use clara_core::{frontend, ClaraConfig};
 use clara_corpus::Problem;
 use clara_model::frontend::Lang;
 use serde::{Deserialize, Serialize};
@@ -80,11 +77,9 @@ impl Default for ServiceConfig {
 pub struct ServiceStats {
     /// Requests handled (including malformed ones).
     pub requests: u64,
-    /// Requests answered from the result cache (including batch-local
-    /// duplicates).
+    /// Requests answered from the result cache, including a duplicate that
+    /// found its outcome cached only after it missed the first probe.
     pub cache_hits: u64,
-    /// Duplicates answered within one worker batch without a cache probe.
-    pub batch_dedup: u64,
     /// Concurrent duplicates that waited for an in-flight computation
     /// instead of recomputing it (single-flight coalescing).
     pub coalesced: u64,
@@ -125,7 +120,6 @@ pub struct ShardStat {
 struct Counters {
     requests: AtomicU64,
     cache_hits: AtomicU64,
-    batch_dedup: AtomicU64,
     coalesced: AtomicU64,
     repaired: AtomicU64,
     correct: AtomicU64,
@@ -235,8 +229,9 @@ impl FlightGuard<'_> {
 
     fn settle(&mut self, state: FlightState) {
         self.settled = true;
-        // Unregister first: a caller arriving after this point starts a
-        // fresh flight (and will hit the result cache anyway).
+        // Unregister first: a caller joining after this point leads a fresh
+        // flight, and finds the outcome in the result cache when it
+        // re-checks (the leader inserts before completing).
         self.flights.lock_map().remove(&self.key);
         *self.slot.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) = state;
         self.slot.ready.notify_all();
@@ -251,14 +246,34 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// One problem shard: the cluster store published through a snapshot cell.
-/// Readers load the current snapshot lock-free; writers serialize on
-/// `write`, build the successor store off-path and publish it.
+/// An immutable cluster store plus the generation it was published at (the
+/// initial store is generation 0; every learn publishes the next one).
+struct Snapshot {
+    generation: u64,
+    store: ClusterStore,
+}
+
+/// One problem shard. Readers clone the current snapshot's `Arc` under the
+/// read lock; learns serialize on `write`, build the successor store outside
+/// the `RwLock` and take its write lock only to swap the `Arc`.
 struct ProblemShard {
     problem: Problem,
-    cell: SnapshotCell<ClusterStore>,
+    current: RwLock<Arc<Snapshot>>,
     write: Mutex<()>,
     requests: AtomicU64,
+}
+
+impl ProblemShard {
+    /// The current snapshot. The read guard lives only for the `Arc` clone.
+    /// A poisoned lock still holds a whole `Arc` (the swap cannot panic
+    /// halfway), so it is read through.
+    fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    fn generation(&self) -> u64 {
+        self.current.read().unwrap_or_else(PoisonError::into_inner).generation
+    }
 }
 
 /// The snapshot-fronted, sharded feedback service.
@@ -278,7 +293,7 @@ impl FeedbackService {
             .into_iter()
             .map(|store| ProblemShard {
                 problem: store.problem().clone(),
-                cell: SnapshotCell::new(store),
+                current: RwLock::new(Arc::new(Snapshot { generation: 0, store })),
                 write: Mutex::new(()),
                 requests: AtomicU64::new(0),
             })
@@ -312,7 +327,6 @@ impl FeedbackService {
         ServiceStats {
             requests: self.counters.requests.load(Ordering::Relaxed),
             cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            batch_dedup: self.counters.batch_dedup.load(Ordering::Relaxed),
             coalesced: self.counters.coalesced.load(Ordering::Relaxed),
             repaired: self.counters.repaired.load(Ordering::Relaxed),
             correct: self.counters.correct.load(Ordering::Relaxed),
@@ -332,7 +346,7 @@ impl FeedbackService {
                 problem: shard.problem.name.to_owned(),
                 lang: shard.problem.lang.to_string(),
                 requests: shard.requests.load(Ordering::Relaxed),
-                generation: shard.cell.generation(),
+                generation: shard.generation(),
             })
             .collect()
     }
@@ -340,7 +354,7 @@ impl FeedbackService {
     /// The highest index-snapshot generation across the problem shards
     /// (0 until the first online insertion).
     pub fn snapshot_generation(&self) -> u64 {
-        self.shards.iter().map(|s| s.cell.generation()).max().unwrap_or(0)
+        self.shards.iter().map(ProblemShard::generation).max().unwrap_or(0)
     }
 
     /// Persists every shard's cluster index under `dir`.
@@ -350,63 +364,43 @@ impl FeedbackService {
     /// Returns the first save failure.
     pub fn save_indexes(&self, dir: &std::path::Path) -> Result<(), crate::store::StoreError> {
         for shard in &self.shards {
-            shard.cell.load().data().save(dir)?;
+            shard.snapshot().store.save(dir)?;
         }
         Ok(())
     }
 
-    /// Handles one request synchronously (a batch of one).
+    /// Handles one request synchronously on the calling thread.
     pub fn handle(&self, request: &Request) -> Response {
-        self.handle_batch(std::slice::from_ref(request)).pop().expect("one response per request")
-    }
-
-    /// Handles a batch of requests, answering each in order. A worker
-    /// draining `K` queued requests calls this once: each shard's snapshot
-    /// is resolved once for the whole batch, and structurally identical
-    /// submissions within the batch are computed once (the duplicates are
-    /// answered from the first result and marked as cache hits).
-    pub fn handle_batch(&self, requests: &[Request]) -> Vec<Response> {
-        // Snapshots resolved so far in this batch, by shard index. Loading
-        // is cheap (two atomics) but not free; a batch of duplicates for a
-        // hot problem resolves it once.
-        let mut snapshots: HashMap<usize, Arc<Snapshot<ClusterStore>>> = HashMap::new();
-        // Cache key -> index into `responses` of the first computation.
-        let mut computed: HashMap<u64, usize> = HashMap::new();
-        let mut responses: Vec<Response> = Vec::with_capacity(requests.len());
-
-        for request in requests {
-            let start = Instant::now();
-            self.counters.requests.fetch_add(1, Ordering::Relaxed);
-            // The trace id arrives with the request (router-forwarded or
-            // client-chosen) or is minted here at ingress for direct traffic.
-            let trace = obs::trace_or_mint(request.trace.as_deref());
-            let (mut response, spans) =
-                timing::collect(|| self.handle_one(request, &mut snapshots, &mut computed, &responses));
-            response.id = request.id;
-            response.elapsed_us = start.elapsed().as_micros() as u64;
-            response.trace = Some(trace.clone());
-            match response.status {
-                Status::Correct => &self.counters.correct,
-                Status::Repaired => &self.counters.repaired,
-                Status::NoRepair => &self.counters.no_repair,
-                Status::Error => &self.counters.errors,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-            self.observe(request, &response, &spans, &trace);
-            responses.push(response);
+        let start = Instant::now();
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        // The trace id arrives with the request (router-forwarded or
+        // client-chosen) or is minted here at ingress for direct traffic.
+        let trace = obs::trace_or_mint(request.trace.as_deref());
+        let (mut response, spans) = timing::collect(|| self.handle_one(request));
+        response.id = request.id;
+        response.elapsed_us = start.elapsed().as_micros() as u64;
+        response.trace = Some(trace.clone());
+        match response.status {
+            Status::Correct => &self.counters.correct,
+            Status::Repaired => &self.counters.repaired,
+            Status::NoRepair => &self.counters.no_repair,
+            Status::Error => &self.counters.errors,
         }
-        responses
+        .fetch_add(1, Ordering::Relaxed);
+        self.observe(request, &response, &spans, &trace);
+        response
     }
 
     /// Records the request in the metrics registry and dumps its span tree
     /// when it was slow or failed (per `slow_ms`).
     fn observe(&self, request: &Request, response: &Response, spans: &[timing::Span], trace: &str) {
         let registry = Registry::global();
+        // Problem names come from the client: only loaded problems become
+        // label values, so arbitrary names cannot grow the registry.
+        let problem =
+            if self.by_problem.contains_key(&request.problem) { request.problem.as_str() } else { "unknown" };
         registry
-            .counter(
-                "clara_requests_total",
-                &[("problem", &request.problem), ("status", response.status.as_str())],
-            )
+            .counter("clara_requests_total", &[("problem", problem), ("status", response.status.as_str())])
             .inc();
         registry
             .histogram("clara_request_duration_us", &[("status", response.status.as_str())])
@@ -426,13 +420,7 @@ impl FeedbackService {
         }
     }
 
-    fn handle_one(
-        &self,
-        request: &Request,
-        snapshots: &mut HashMap<usize, Arc<Snapshot<ClusterStore>>>,
-        computed: &mut HashMap<u64, usize>,
-        responses: &[Response],
-    ) -> Response {
+    fn handle_one(&self, request: &Request) -> Response {
         let Some(&shard_index) = self.by_problem.get(&request.problem) else {
             let spec = self.config.shard;
             let detail = if spec.is_solo() {
@@ -475,36 +463,13 @@ impl FeedbackService {
             Err(e) => return Response::error(request.id, format!("syntax error: {e}")),
         };
 
-        // One snapshot resolution per shard per batch; everything below runs
-        // against this immutable index without any lock.
+        // Everything below runs against this immutable snapshot; the read
+        // lock is held only for the `Arc` clone.
         let snapshot = {
             let _timer = StageTimer::start(Stage::SnapshotResolve);
-            Arc::clone(snapshots.entry(shard_index).or_insert_with(|| self.shards[shard_index].cell.load()))
+            shard.snapshot()
         };
-        let key = cache_key(shard_index, snapshot.generation(), lang, parsed.structural_hash());
-
-        // Batch-local dedup: a structurally identical submission earlier in
-        // this batch already computed the outcome — answer from it without
-        // even probing the cache. Learn requests fall through (the index
-        // insertion must still happen).
-        if !request.learn.unwrap_or(false) {
-            if let Some(&first) = computed.get(&key) {
-                let first = &responses[first];
-                self.counters.batch_dedup.fetch_add(1, Ordering::Relaxed);
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Response {
-                    id: request.id,
-                    status: first.status,
-                    feedback: first.feedback.clone(),
-                    cost: first.cost,
-                    cache_hit: true,
-                    learned: false,
-                    error: first.error.clone(),
-                    elapsed_us: 0,
-                    trace: None,
-                };
-            }
-        }
+        let key = cache_key(shard_index, snapshot.generation, lang, parsed.structural_hash());
 
         let probed = {
             let _timer = StageTimer::start(Stage::CacheProbe);
@@ -533,11 +498,11 @@ impl FeedbackService {
             if parsed.passes(&shard.problem.spec) {
                 CachedOutcome { status: Status::Correct, feedback: Vec::new(), cost: None, error: None }
             } else {
-                // The repair runs against the immutable snapshot: no read
-                // lock, so a concurrent learn (publishing a successor index)
-                // never stalls this — the answer reflects the snapshot's
-                // generation.
-                match snapshot.data().engine().repair_source(&request.source) {
+                // The repair runs against the immutable snapshot with no
+                // lock held, so a concurrent learn (publishing a successor
+                // index) never stalls it — the answer reflects the
+                // snapshot's generation.
+                match snapshot.store.engine().repair_source(&request.source) {
                     Ok(outcome) => {
                         self.record_retrieval(&outcome.result);
                         let status =
@@ -565,17 +530,32 @@ impl FeedbackService {
         // Single-flight: concurrent workers computing the same key share
         // one computation. The first joiner leads and computes; the rest
         // block on the slot (the ~1 s repair dominates the wait) and take
-        // the leader's outcome instead of recomputing it.
-        let (outcome, coalesced) = match self.flights.join(key) {
+        // the leader's outcome instead of recomputing it. A leader re-checks
+        // the cache first: a previous leader may have inserted and settled
+        // between this request's probe and its join. Repair is
+        // deterministic given the snapshot, and the generation is part of
+        // the key, so feedback computed against generation `g` is only ever
+        // served to requests that resolved `g`.
+        let (outcome, shared) = match self.flights.join(key) {
             Flight::Coalesced(outcome) => {
                 self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
                 (outcome, true)
             }
-            Flight::Leader(guard) => {
-                let outcome = compute();
-                guard.complete(outcome.clone());
-                (outcome, false)
-            }
+            Flight::Leader(guard) => match self.cache.recheck(key) {
+                Some(cached) => {
+                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    guard.complete(cached.clone());
+                    (cached, true)
+                }
+                None => {
+                    let outcome = compute();
+                    // Cache before completing, so that no duplicate can miss
+                    // both the flight and the cache.
+                    self.cache.insert(key, outcome.clone());
+                    guard.complete(outcome.clone());
+                    (outcome, false)
+                }
+            },
         };
 
         // Online clustering (§2): verified-correct submissions grow the
@@ -584,21 +564,12 @@ impl FeedbackService {
         // still insert, and the leader must not hold followers hostage to
         // the writer mutex.
         let learned = outcome.status == Status::Correct && self.learn_if_requested(request, shard);
-
-        if !coalesced {
-            // Repair is deterministic given the index snapshot, and the
-            // generation is part of the key: feedback computed against
-            // generation `g` is only ever served to requests that resolved
-            // generation `g`. A learn that published `g+1` (possibly our
-            // own, just above) leaves entries keyed at `g` unreachable —
-            // they age out of the LRU instead of serving stale feedback.
-            let insert_key = if learned {
-                cache_key(shard_index, shard.cell.generation(), lang, parsed.structural_hash())
-            } else {
-                key
-            };
-            self.cache.insert(insert_key, outcome.clone());
-            computed.insert(insert_key, responses.len());
+        if learned {
+            // The learn published a new generation, which leaves the entry
+            // above unreachable; a correct verdict does not depend on the
+            // index, so file it under the new generation too.
+            let key = cache_key(shard_index, shard.generation(), lang, parsed.structural_hash());
+            self.cache.insert(key, outcome.clone());
         }
 
         Response {
@@ -606,7 +577,7 @@ impl FeedbackService {
             status: outcome.status,
             feedback: outcome.feedback,
             cost: outcome.cost,
-            cache_hit: coalesced,
+            cache_hit: shared,
             learned,
             error: outcome.error,
             elapsed_us: 0,
@@ -639,24 +610,26 @@ impl FeedbackService {
 
     /// Inserts a verified-correct submission into the shard's cluster index
     /// when the request asks for it and learning is enabled. The insertion
-    /// is copy-on-write: the successor store is built off-path under the
-    /// shard's writer mutex and published with one pointer swap, so readers
-    /// never block. Returns whether an insertion happened.
+    /// is copy-on-write: the successor store is built under the shard's
+    /// writer mutex but outside its `RwLock`, whose write lock is taken only
+    /// to swap the new snapshot in. Returns whether an insertion happened.
     fn learn_if_requested(&self, request: &Request, shard: &ProblemShard) -> bool {
         if !(self.config.learn && request.learn.unwrap_or(false)) {
             return false;
         }
         let _timer = StageTimer::start(Stage::Learn);
-        // Writers serialize here; the snapshot cell itself only orders
-        // publishes, not the read-modify-write around them. A poisoned lock
-        // (a panicked writer) must not take the shard's learns down with it:
-        // the store itself is copy-on-write, so the guard data is always
-        // consistent.
-        let _writer = shard.write.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let current = shard.cell.load();
-        match current.data().with_learned(&request.source) {
-            Ok((next, _cluster)) => {
-                shard.cell.publish(next);
+        // Learns serialize here, so each one extends the latest snapshot
+        // and no generation is lost. A poisoned lock (a panicked writer)
+        // must not take the shard's learns down with it: the store itself
+        // is copy-on-write, so the guard data is always consistent.
+        let _writer = shard.write.lock().unwrap_or_else(PoisonError::into_inner);
+        let current = shard.snapshot();
+        match current.store.with_learned(&request.source) {
+            Ok((store, _cluster)) => {
+                let next = Arc::new(Snapshot { generation: current.generation + 1, store });
+                // `current` still holds the old snapshot, so the swap never
+                // frees a store while readers wait on the lock.
+                *shard.current.write().unwrap_or_else(PoisonError::into_inner) = next;
                 self.counters.learned.fetch_add(1, Ordering::Relaxed);
                 true
             }
@@ -664,8 +637,7 @@ impl FeedbackService {
         }
     }
 
-    /// Cache hit/miss counters of the result cache (misses exclude the
-    /// batch-local duplicates answered without a probe).
+    /// Hit/miss counters of the result cache's first probe per request.
     pub fn cache_counters(&self) -> (u64, u64) {
         self.cache.counters()
     }
@@ -803,28 +775,6 @@ def computeDeriv(poly):
     }
 
     #[test]
-    fn batches_compute_structural_duplicates_once() {
-        let service = service();
-        let reformatted = INCORRECT.replace("    if new==[]:", "\n    if new==[]:");
-        let other = "def computeDeriv(poly):\n    return poly\n";
-        let batch =
-            [request(1, INCORRECT), request(2, &reformatted), request(3, other), request(4, INCORRECT)];
-        let responses = service.handle_batch(&batch);
-        assert_eq!(responses.len(), 4);
-        assert_eq!(responses.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-        assert!(!responses[0].cache_hit);
-        assert!(responses[1].cache_hit, "batch-local duplicate");
-        assert!(!responses[2].cache_hit, "distinct program computes");
-        assert!(responses[3].cache_hit);
-        assert_eq!(responses[1].feedback, responses[0].feedback);
-        assert_eq!(responses[3].feedback, responses[0].feedback);
-        let stats = service.stats();
-        assert_eq!(stats.requests, 4);
-        assert_eq!(stats.cache_hits, 2);
-        assert!(stats.batch_dedup >= 1, "at least one duplicate answered batch-locally");
-    }
-
-    #[test]
     fn concurrent_duplicates_of_a_novel_submission_coalesce() {
         // Four threads submit the same novel incorrect program at once. The
         // leader runs the ~1 s repair; the other three must share it via
@@ -851,6 +801,115 @@ def computeDeriv(poly):
         assert_eq!(stats.coalesced + stats.cache_hits, 3, "exactly one computation for four requests");
         assert!(stats.coalesced >= 1, "concurrent duplicates must coalesce: {stats:?}");
         assert_eq!(responses.iter().filter(|r| !r.cache_hit).count(), 1);
+    }
+
+    #[test]
+    fn concurrent_duplicates_never_miss_both_the_flight_and_the_cache() {
+        // Regression: a leader used to settle its flight before caching its
+        // outcome, so a duplicate that missed the cache and joined in
+        // between led a second computation. A fast correct submission makes
+        // that window as wide as it gets relative to the computation.
+        let problem = derivatives();
+        let (store, _) = ClusterStore::build(&problem, problem.seeds.clone(), ClaraConfig::default());
+        let correct = problem.seeds[1];
+        for round in 0..64 {
+            let service = Arc::new(FeedbackService::new(vec![store.clone()], ServiceConfig::default()));
+            let barrier = Arc::new(std::sync::Barrier::new(4));
+            let handles: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let service = Arc::clone(&service);
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        service.handle(&request(t, correct))
+                    })
+                })
+                .collect();
+            for handle in handles {
+                assert_eq!(handle.join().unwrap().status, Status::Correct);
+            }
+            let stats = service.stats();
+            assert_eq!(
+                stats.coalesced + stats.cache_hits,
+                3,
+                "round {round}: one computation for four: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_problem_names_never_become_metric_labels() {
+        let service = service();
+        for i in 0..100u64 {
+            let mut unknown = request(i, "def f(x):\n    return x\n");
+            unknown.problem = format!("no_such_problem_{i}");
+            assert_eq!(service.handle(&unknown).status, Status::Error);
+        }
+        let dump = Registry::global().dump(0);
+        let labels: Vec<&obs::LabelDump> = dump
+            .counters
+            .iter()
+            .flat_map(|c| &c.labels)
+            .chain(dump.gauges.iter().flat_map(|g| &g.labels))
+            .chain(dump.histograms.iter().flat_map(|h| &h.labels))
+            .collect();
+        assert!(!labels.iter().any(|l| l.v.starts_with("no_such_problem_")), "client-chosen names leaked");
+        assert!(
+            labels.iter().any(|l| l.k == "problem" && l.v == "unknown"),
+            "unknown problems are still counted"
+        );
+    }
+
+    #[test]
+    fn concurrent_learners_serialize_and_never_lose_generations() {
+        // Four learners insert distinct correct solutions while two readers
+        // repair. Learns serialize on the shard's writer mutex, so each one
+        // extends the latest snapshot and publishes exactly one generation.
+        let problem = derivatives();
+        let seeds: Vec<&'static str> = problem.seeds.clone();
+        assert!(seeds.len() >= 5, "four distinct seeds to learn");
+        let (store, _) = ClusterStore::build(&problem, seeds[..1].iter().copied(), ClaraConfig::default());
+        let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
+        let learners: Vec<_> = (1..5u64)
+            .map(|i| {
+                let service = Arc::clone(&service);
+                let source = seeds[i as usize];
+                std::thread::spawn(move || {
+                    let mut learn = request(100 + i, source);
+                    learn.learn = Some(true);
+                    let response = service.handle(&learn);
+                    assert_eq!(response.id, 100 + i);
+                    assert_eq!(response.status, Status::Correct, "{:?}", response.error);
+                    response.learned
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let service = Arc::clone(&service);
+                std::thread::spawn(move || {
+                    for i in 0..3u64 {
+                        let response = service.handle(&request(t * 10 + i, INCORRECT));
+                        assert_eq!(response.id, t * 10 + i);
+                        assert!(response.trace.is_some());
+                        assert!(
+                            matches!(response.status, Status::Repaired | Status::NoRepair),
+                            "{:?}",
+                            response.error
+                        );
+                        assert_eq!(response.cost.is_some(), response.status == Status::Repaired);
+                    }
+                })
+            })
+            .collect();
+        let learned =
+            learners.into_iter().map(|h| h.join().expect("learner panicked")).filter(|l| *l).count();
+        for reader in readers {
+            reader.join().expect("reader panicked");
+        }
+        assert_eq!(learned, 4, "every distinct correct solution is learned");
+        assert_eq!(service.snapshot_generation(), service.stats().learned);
+        assert_eq!(service.stats().learned, 4);
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl ClusterStore {
     /// the cluster the solution joined. This is the snapshot writer's path:
     /// the clone and the matching run off the hot path while readers keep
     /// serving from the current snapshot, and the returned store is then
-    /// published with one atomic pointer swap.
+    /// swapped in under a brief write lock.
     ///
     /// # Errors
     ///

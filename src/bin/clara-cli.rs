@@ -57,6 +57,8 @@
 //! (bind to port 0 for an ephemeral port), and treats stdin EOF as the
 //! shutdown signal.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
