@@ -21,6 +21,7 @@ use std::time::Instant;
 use clara_bench::{emit_json_report, RunMode};
 use clara_core::{frontend, repair_attempt, AnalyzedProgram, Clara, ClaraConfig};
 use clara_corpus::{correct_pool, derive_mutants, mooc::derivatives, MutantBucket, MutationConfig};
+use clara_model::frontend::ParsedSubmission;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -77,12 +78,13 @@ fn main() {
         &problem,
         &MutationConfig { seed: 0x9E7A11, target_wrong_answer: attempt_target, max_attempts: 4_000 },
     );
-    let lang_frontend = frontend(problem.lang);
-    let wrong: Vec<&str> = mutants
+    // Each attempt is parsed once, up front; both passes at every pool size
+    // analyse and repair from that parse.
+    let wrong: Vec<Box<dyn ParsedSubmission>> = mutants
         .iter()
         .filter(|m| m.bucket == MutantBucket::WrongAnswer)
         .take(attempt_target)
-        .map(|m| m.source.as_str())
+        .filter_map(|m| frontend(problem.lang).parse(&m.source).ok())
         .collect();
     assert!(!wrong.is_empty(), "mutation engine produced no wrong-answer attempts");
 
@@ -108,25 +110,20 @@ fn main() {
             }
         }
 
-        // Analyse the attempts once; both passes repair the same programs.
-        let attempts: Vec<(AnalyzedProgram, _)> = wrong
-            .iter()
-            .filter_map(|source| {
-                let parsed = lang_frontend.parse(source).ok()?;
-                let program = parsed.lower(problem.entry).ok()?;
-                let surface = parsed.surface(problem.entry).ok();
-                Some((AnalyzedProgram::from_program(program, engine.inputs(), engine.fuel()), surface))
-            })
-            .collect();
-
         // Exhaustive baseline: the pre-index repair path over every cluster.
+        // Both passes time analysis plus repair of the same parses.
         let mut full_config = engine.config().repair.clone();
         full_config.use_candidate_index = false;
         let mut full_candidates = Vec::new();
         let mut full_repaired = 0usize;
         let full_start = Instant::now();
-        for (attempt, _) in &attempts {
-            let result = repair_attempt(engine.clusters(), attempt, engine.inputs(), &full_config);
+        for parsed in &wrong {
+            let Ok(attempt) =
+                AnalyzedProgram::from_parsed(parsed.as_ref(), problem.entry, engine.inputs(), engine.fuel())
+            else {
+                continue;
+            };
+            let result = repair_attempt(engine.clusters(), &attempt, engine.inputs(), &full_config);
             full_candidates.push(result.candidate_clusters);
             full_repaired += usize::from(result.best.is_some());
         }
@@ -137,15 +134,16 @@ fn main() {
         let mut indexed_repaired = 0usize;
         let mut fallbacks = 0usize;
         let indexed_start = Instant::now();
-        for (attempt, surface) in &attempts {
-            let outcome = engine.repair_with_surface(attempt, surface.as_ref());
+        for parsed in &wrong {
+            let Ok(outcome) = engine.repair_parsed(parsed.as_ref()) else { continue };
             indexed_candidates.push(outcome.result.candidate_clusters);
             indexed_repaired += usize::from(outcome.result.best.is_some());
             fallbacks += usize::from(outcome.result.retrieval.is_some_and(|r| r.fell_back));
         }
         let indexed_seconds = indexed_start.elapsed().as_secs_f64();
 
-        let count = attempts.len().max(1);
+        let attempts = full_candidates.len();
+        let count = attempts.max(1);
         let full_rate = full_repaired as f64 / count as f64;
         let indexed_rate = indexed_repaired as f64 / count as f64;
         let row = PoolRow {
@@ -153,7 +151,7 @@ fn main() {
             usable,
             clusters: engine.clusters().len(),
             index_resident_bytes: engine.candidate_index().resident_bytes(),
-            attempts: attempts.len(),
+            attempts,
             full_candidates_mean: mean(&full_candidates),
             indexed_candidates_mean: mean(&indexed_candidates),
             full_ms_per_attempt: full_seconds * 1_000.0 / count as f64,

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 
 use clara_autograder::{AutoGrader, AutoGraderConfig, ErrorModel};
-use clara_core::{AnalyzedProgram, Clara, ClaraConfig, Feedback, RepairFailure};
+use clara_core::{frontend, AnalyzedProgram, Clara, ClaraConfig, Feedback, RepairFailure};
 use clara_corpus::{generate_dataset, AttemptKind, Dataset, DatasetConfig, Problem};
 use clara_lang::parse_program;
 
@@ -166,6 +166,8 @@ pub enum FailureReason {
     Unsupported,
     /// No correct solution with the same control flow exists.
     NoMatchingControlFlow,
+    /// A cluster shares the control flow, but no consistent repair exists.
+    Infeasible,
     /// The solver budget was exhausted.
     Budget,
 }
@@ -277,12 +279,12 @@ pub fn run_clara(dataset: &Dataset) -> ClaraRun {
     let mut results = Vec::with_capacity(dataset.incorrect.len());
     for attempt in &dataset.incorrect {
         let start = Instant::now();
-        let parsed = parse_program(&attempt.source);
+        let parsed = frontend(clara.lang()).parse(&attempt.source);
         let (repaired, failure, cost, relative, modified, verified, repair_feedback) = match parsed {
             Err(_) => (false, Some(FailureReason::Unsupported), None, None, None, None, false),
-            Ok(source) => {
-                let ast_size = if matches!(attempt.kind, AttemptKind::Empty) { 0 } else { source.ast_size() };
-                match clara.repair_source(&attempt.source) {
+            Ok(parsed) => {
+                let ast_size = if matches!(attempt.kind, AttemptKind::Empty) { 0 } else { parsed.ast_size() };
+                match clara.repair_parsed(parsed.as_ref()) {
                     Err(_) => (false, Some(FailureReason::Unsupported), None, None, None, None, false),
                     Ok(outcome) => match outcome.result.best {
                         Some(repair) => {
@@ -303,6 +305,7 @@ pub fn run_clara(dataset: &Dataset) -> ClaraRun {
                                 Some(RepairFailure::NoMatchingControlFlow) => {
                                     FailureReason::NoMatchingControlFlow
                                 }
+                                Some(RepairFailure::NoFeasibleRepair) => FailureReason::Infeasible,
                                 _ => FailureReason::Budget,
                             };
                             (false, Some(reason), None, None, None, None, false)

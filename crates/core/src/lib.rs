@@ -75,7 +75,7 @@ pub use sigcache::{SignatureCache, ValueSignature};
 pub use timing::{Span, Stage, StageSink, StageTimer};
 
 use clara_lang::Value;
-use clara_model::frontend::Lang;
+use clara_model::frontend::{Lang, ParsedSubmission};
 use clara_model::Fuel;
 
 /// Configuration of the end-to-end [`Clara`] engine.
@@ -168,35 +168,24 @@ impl Clara {
     /// Returns an [`AnalysisError`] if the solution cannot be parsed or
     /// lowered; such solutions are simply not usable for repair.
     pub fn add_correct_solution(&mut self, source: &str) -> Result<usize, AnalysisError> {
-        let analyzed = AnalyzedProgram::from_text_in(
-            self.lang,
-            source,
-            &self.entry,
-            &self.inputs,
-            self.config.repair.fuel,
-        )?;
+        let parsed = frontend(self.lang).parse(source)?;
+        self.add_correct_parsed(parsed.as_ref())
+    }
+
+    /// Adds an already-parsed correct solution to the cluster pool; the one
+    /// parse yields both the analysis and the surface IR.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AnalysisError`] if the solution cannot be lowered.
+    pub fn add_correct_parsed(&mut self, parsed: &dyn ParsedSubmission) -> Result<usize, AnalysisError> {
+        let analyzed =
+            AnalyzedProgram::from_parsed(parsed, &self.entry, &self.inputs, self.config.repair.fuel)?;
         // Best-effort surface IR for the structural retrieval signal; the
         // behaviour signal alone still indexes the cluster if lowering to
         // surface form fails.
-        let surface = frontend(self.lang).parse(source).ok().and_then(|p| p.surface(&self.entry).ok());
-        Ok(self.add_correct_with_surface(analyzed, surface.as_ref()))
-    }
-
-    /// Adds an already-analysed correct solution to the cluster pool and
-    /// returns the index of the cluster it was placed into.
-    pub fn add_correct_analyzed(&mut self, analyzed: AnalyzedProgram) -> usize {
-        self.add_correct_with_surface(analyzed, None)
-    }
-
-    /// Adds an analysed correct solution together with its (optional)
-    /// surface IR, which feeds the structural signal of the candidate
-    /// retrieval index.
-    pub fn add_correct_with_surface(
-        &mut self,
-        analyzed: AnalyzedProgram,
-        surface: Option<&clara_model::surface::SurfaceFunction>,
-    ) -> usize {
-        let signals = QuerySignals::for_program(&analyzed, surface);
+        let surface = parsed.surface(&self.entry).ok();
+        let signals = QuerySignals::for_program(&analyzed, surface.as_ref());
         self.correct_count += 1;
         // Incremental clustering: try to place the solution into an existing
         // cluster, otherwise open a new one.
@@ -216,7 +205,7 @@ impl Clara {
         });
         self.index.record(index, &signals);
         self.compact_after_insert(index);
-        index
+        Ok(index)
     }
 
     /// Applies the compaction budget after an insertion into cluster
@@ -301,30 +290,25 @@ impl Clara {
     /// Returns an [`AnalysisError`] if the attempt cannot be parsed or
     /// lowered (these are the "unsupported feature" failures of §6.2).
     pub fn repair_source(&self, source: &str) -> Result<RepairOutcome, AnalysisError> {
-        let attempt = AnalyzedProgram::from_text_in(
-            self.lang,
-            source,
-            &self.entry,
-            &self.inputs,
-            self.config.repair.fuel,
-        )?;
+        let parsed = frontend(self.lang).parse(source)?;
+        self.repair_parsed(parsed.as_ref())
+    }
+
+    /// Repairs an already-parsed incorrect attempt and renders feedback. The
+    /// analysis and the surface IR both come from this one parse.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AnalysisError`] if the attempt cannot be lowered.
+    pub fn repair_parsed(&self, parsed: &dyn ParsedSubmission) -> Result<RepairOutcome, AnalysisError> {
+        let attempt =
+            AnalyzedProgram::from_parsed(parsed, &self.entry, &self.inputs, self.config.repair.fuel)?;
         // The surface IR feeds both the structural retrieval signal and the
         // flexible-alignment fallback, so it is built whenever either is on.
         let wants_surface = (self.config.repair.use_candidate_index && !self.index.is_empty())
             || self.config.repair.flexible_alignment;
-        let surface = if wants_surface {
-            frontend(self.lang).parse(source).ok().and_then(|p| p.surface(&self.entry).ok())
-        } else {
-            None
-        };
+        let surface = if wants_surface { parsed.surface(&self.entry).ok() } else { None };
         Ok(self.repair_with_surface(&attempt, surface.as_ref()))
-    }
-
-    /// Repairs an already-analysed incorrect attempt. Candidate retrieval
-    /// runs on the behaviour signal alone (no source text is available
-    /// here); [`Clara::repair_source`] adds the structural signal.
-    pub fn repair_analyzed(&self, attempt: &AnalyzedProgram) -> RepairOutcome {
-        self.repair_with_surface(attempt, None)
     }
 
     /// Repairs an analysed attempt, using its surface IR (when available)

@@ -19,7 +19,6 @@
 use clara_lang::ProblemSpec;
 use clara_model::frontend::{grading_fuel, model_passes, Lang};
 
-use crate::analysis::AnalyzedProgram;
 use crate::frontends::frontend;
 use crate::repair::RepairFailure;
 use crate::{Clara, ClaraConfig};
@@ -108,14 +107,10 @@ impl DifferentialOracle {
         let Ok(parsed) = frontend(self.clara.lang()).parse(source) else {
             return OracleVerdict::Unsupported;
         };
-        let Ok(program) = parsed.lower(&self.spec.entry) else {
+        // The production path: analysis and surface IR from this one parse.
+        let Ok(outcome) = self.clara.repair_parsed(parsed.as_ref()) else {
             return OracleVerdict::Unsupported;
         };
-        let attempt = AnalyzedProgram::from_program(program, self.clara.inputs(), self.clara.fuel());
-        // The same parse also feeds the structural half of candidate
-        // retrieval, so the oracle exercises the exact production path.
-        let surface = parsed.surface(&self.spec.entry).ok();
-        let outcome = self.clara.repair_with_surface(&attempt, surface.as_ref());
         let realigned = outcome.result.realigned;
         match outcome.result.best {
             None => OracleVerdict::NotRepaired { failure: outcome.result.failure },

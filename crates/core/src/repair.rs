@@ -207,7 +207,12 @@ pub enum RepairFailure {
     /// No cluster has the same control flow as the attempt (the fundamental
     /// limitation discussed in §6.2 (1) and §8).
     NoMatchingControlFlow,
-    /// The ILP solver exhausted its budget on every candidate cluster.
+    /// Some cluster shares the attempt's control flow, but none admits a
+    /// consistent repair: a pinned variable has no candidate local repair,
+    /// or the ILP is infeasible.
+    NoFeasibleRepair,
+    /// No candidate cluster yielded a repair, and the ILP solver exhausted
+    /// its budget on at least one of them.
     SolverBudgetExhausted,
 }
 
@@ -216,6 +221,9 @@ impl std::fmt::Display for RepairFailure {
         match self {
             RepairFailure::NoMatchingControlFlow => {
                 write!(f, "no correct solution with the same control flow exists")
+            }
+            RepairFailure::NoFeasibleRepair => {
+                write!(f, "no consistent repair exists against any same-control-flow cluster")
             }
             RepairFailure::SolverBudgetExhausted => write!(f, "ILP solver budget exhausted"),
         }
@@ -371,9 +379,11 @@ pub fn repair_attempt_retrieved(
     let cluster_config = RepairConfig { verify: false, ..config.clone() };
     let scanned = shortlist.as_ref().unwrap_or(&candidates);
     let mut examined = scanned.len();
-    let repairs = run_candidates(scanned, attempt, inputs, &cluster_config, config.parallel);
-
-    let mut best = repairs.into_iter().flatten().min_by_key(|r| (r.total_cost, r.cluster_index));
+    let mut budget_exhausted = false;
+    let mut best = cheapest(
+        run_candidates(scanned, attempt, inputs, &cluster_config, config.parallel),
+        &mut budget_exhausted,
+    );
     if best.is_none() {
         if let (Some(keep), Some((index, _))) = (&shortlist, retrieval) {
             // Empty-handed shortlist: widen over the candidates it excluded
@@ -420,10 +430,10 @@ pub fn repair_attempt_retrieved(
             while best.is_none() && offset < queue.len() {
                 let batch = &queue[offset..(offset + tier).min(queue.len())];
                 examined += batch.len();
-                best = run_candidates(batch, attempt, inputs, &cluster_config, config.parallel)
-                    .into_iter()
-                    .flatten()
-                    .min_by_key(|r| (r.total_cost, r.cluster_index));
+                best = cheapest(
+                    run_candidates(batch, attempt, inputs, &cluster_config, config.parallel),
+                    &mut budget_exhausted,
+                );
                 offset += batch.len();
                 tier *= 2;
             }
@@ -440,7 +450,11 @@ pub fn repair_attempt_retrieved(
             repair.verified = Some(find_matching(rep, &analyzed).is_some());
         }
     }
-    let failure = if best.is_none() { Some(RepairFailure::SolverBudgetExhausted) } else { None };
+    let failure = match (&best, budget_exhausted) {
+        (Some(_), _) => None,
+        (None, true) => Some(RepairFailure::SolverBudgetExhausted),
+        (None, false) => Some(RepairFailure::NoFeasibleRepair),
+    };
     RepairResult {
         best,
         failure,
@@ -451,6 +465,23 @@ pub fn repair_attempt_retrieved(
     }
 }
 
+/// The minimal-cost repair among per-cluster results (ties go to the lower
+/// cluster index); sets `budget_exhausted` when any cluster ran the ILP
+/// solver out of budget.
+fn cheapest(
+    results: Vec<Result<ClusterRepair, RepairFailure>>,
+    budget_exhausted: &mut bool,
+) -> Option<ClusterRepair> {
+    results
+        .into_iter()
+        .filter_map(|result| {
+            result
+                .map_err(|failure| *budget_exhausted |= failure == RepairFailure::SolverBudgetExhausted)
+                .ok()
+        })
+        .min_by_key(|r| (r.total_cost, r.cluster_index))
+}
+
 /// Runs the per-cluster repair over `candidates`, on multiple threads when
 /// `parallel` and the pool is big enough.
 fn run_candidates(
@@ -459,11 +490,11 @@ fn run_candidates(
     inputs: &[Vec<Value>],
     cluster_config: &RepairConfig,
     parallel: bool,
-) -> Vec<Option<ClusterRepair>> {
+) -> Vec<Result<ClusterRepair, RepairFailure>> {
     if parallel && candidates.len() > 1 {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         let chunk_size = candidates.len().div_ceil(threads);
-        let mut results: Vec<Option<ClusterRepair>> = Vec::new();
+        let mut results: Vec<Result<ClusterRepair, RepairFailure>> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = candidates
                 .chunks(chunk_size)
@@ -772,16 +803,24 @@ pub fn fresh_name(rep_var: &str, taken: &[String]) -> String {
 }
 
 /// Runs the repair algorithm of Fig. 5 against a single cluster.
+///
+/// # Errors
+///
+/// Returns why the cluster cannot repair the attempt:
+/// [`RepairFailure::NoMatchingControlFlow`] for a different control flow,
+/// [`RepairFailure::NoFeasibleRepair`] when no consistent repair exists, and
+/// [`RepairFailure::SolverBudgetExhausted`] when the ILP solver ran out of
+/// budget.
 pub fn repair_against_cluster(
     cluster: &Cluster,
     cluster_index: usize,
     attempt: &AnalyzedProgram,
     inputs: &[Vec<Value>],
     config: &RepairConfig,
-) -> Option<ClusterRepair> {
+) -> Result<ClusterRepair, RepairFailure> {
     let rep = &cluster.representative;
     if !rep.program.same_control_flow(&attempt.program) {
-        return None;
+        return Err(RepairFailure::NoMatchingControlFlow);
     }
     let rep_vars: Vec<String> = rep.program.vars.clone();
     let impl_vars: Vec<String> = attempt.program.vars.clone();
@@ -1013,7 +1052,7 @@ pub fn repair_against_cluster(
             if row.is_empty() {
                 // A pinned special variable with no candidate local repair:
                 // the cluster cannot repair this attempt.
-                return None;
+                return Err(RepairFailure::NoFeasibleRepair);
             }
             ilp.add_exactly_one(&row);
         }
@@ -1041,7 +1080,10 @@ pub fn repair_against_cluster(
     // ------------------------------------------------------------------
     // Step 3: solve and decode.
     // ------------------------------------------------------------------
-    let solution = ilp.solve_with_limits(config.ilp_limits).ok()??;
+    let solution = ilp
+        .solve_with_limits(config.ilp_limits)
+        .map_err(|_| RepairFailure::SolverBudgetExhausted)?
+        .ok_or(RepairFailure::NoFeasibleRepair)?;
     drop(ilp_timer);
 
     let mut var_map = VarMap::new();
@@ -1145,7 +1187,7 @@ pub fn repair_against_cluster(
         None
     };
 
-    Some(ClusterRepair {
+    Ok(ClusterRepair {
         cluster_index,
         total_cost: solution.objective,
         actions,
@@ -1530,5 +1572,42 @@ def computeDeriv(poly):
         assert!(result.best.is_none());
         assert_eq!(result.failure, Some(RepairFailure::NoMatchingControlFlow));
         assert_eq!(result.candidate_clusters, 0);
+    }
+
+    /// Fig. 2's `I1`: same control flow as `C1`, but returns `0.0` where
+    /// `C1` returns `[0.0]`.
+    const I1: &str = "\
+def computeDeriv(poly):
+    new = []
+    for i in xrange(1,len(poly)):
+        new.append(float(i*poly[i]))
+    if new==[]:
+        return 0.0
+    return new
+";
+
+    #[test]
+    fn infeasible_clusters_are_not_reported_as_budget_exhaustion() {
+        // A cluster with no mined expressions offers no replacement for
+        // I1's wrong return value, and the pinned return variable cannot be
+        // deleted: the only same-control-flow cluster admits no repair.
+        let bare = vec![Cluster::from_parts(analyze(C1), vec![0], Vec::new())];
+        let attempt = analyze(I1);
+        let config = RepairConfig::default();
+        assert_eq!(
+            repair_against_cluster(&bare[0], 0, &attempt, &inputs(), &config).err(),
+            Some(RepairFailure::NoFeasibleRepair)
+        );
+        let result = repair_attempt(&bare, &attempt, &inputs(), &config);
+        assert!(result.best.is_none());
+        assert_eq!(result.candidate_clusters, 1);
+        assert_eq!(result.failure, Some(RepairFailure::NoFeasibleRepair));
+
+        // The same attempt against the real clusters is repairable, so only
+        // a solver that runs out of nodes fails it — and says so.
+        let starved = RepairConfig { ilp_limits: SolveLimits { max_nodes: 0 }, ..RepairConfig::default() };
+        let result = repair_attempt(&derivatives_clusters(), &attempt, &inputs(), &starved);
+        assert!(result.best.is_none());
+        assert_eq!(result.failure, Some(RepairFailure::SolverBudgetExhausted));
     }
 }

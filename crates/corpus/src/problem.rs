@@ -11,7 +11,9 @@ use clara_lang::{
     parse_program, run_function, Expected, GradeReport, Limits, ProblemSpec, SourceProgram, TestCase,
     TestResult, Value,
 };
-use clara_model::frontend::{grading_fuel, model_passes_test, Frontend, Lang};
+use clara_model::frontend::{grading_fuel, model_passes_test, Lang};
+
+use crate::mutate::frontend_for;
 
 /// How an assignment is graded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,16 +149,7 @@ impl Problem {
     /// Parses and grades a source text with the problem's frontend; returns
     /// `None` when it does not even parse.
     pub fn grade_source(&self, source: &str) -> Option<bool> {
-        match self.lang {
-            Lang::MiniPy => {
-                let parsed = parse_program(source).ok()?;
-                Some(self.spec.is_correct(&parsed))
-            }
-            Lang::MiniC => {
-                let parsed = clara_c::MINIC.parse(source).ok()?;
-                Some(parsed.passes(&self.spec))
-            }
-        }
+        Some(frontend_for(self.lang).parse(source).ok()?.passes(&self.spec))
     }
 
     /// Parses and grades a source text per test case; returns `None` when it

@@ -5,9 +5,9 @@
 //! request takes the read lock only long enough to clone the `Arc`, then
 //! runs the whole repair pipeline against that immutable snapshot without
 //! holding any lock. A learn serializes with other learns on a per-shard
-//! mutex, builds the successor store outside the `RwLock`
-//! ([`ClusterStore::with_learned`]) and takes the write lock only to swap the
-//! new `Arc` in, so readers never wait on a learn's clone-and-insert.
+//! mutex, builds the successor store outside the `RwLock` (a clone plus
+//! [`ClusterStore::insert_correct`]) and takes the write lock only to swap
+//! the new `Arc` in, so readers never wait on a learn's clone-and-insert.
 //!
 //! The result cache in front is a [`StripedCache`]: independently locked
 //! LRU segments keyed by a splitmix-mixed combination of shard, language,
@@ -27,7 +27,7 @@ use std::time::Instant;
 use clara_core::timing::{self, Stage, StageTimer};
 use clara_core::{frontend, ClaraConfig};
 use clara_corpus::Problem;
-use clara_model::frontend::Lang;
+use clara_model::frontend::{Lang, ParsedSubmission};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::StripedCache;
@@ -452,8 +452,9 @@ impl FeedbackService {
             }
         }
 
-        // Unparseable submissions have no structural hash and bypass the
-        // cache; parsing is also the cheapest stage, so this costs little.
+        // The request's only parse: the cache key, grading, repair and the
+        // learn all reuse it. Unparseable submissions have no structural
+        // hash and bypass the cache.
         let parsed = {
             let _timer = StageTimer::start(Stage::Parse);
             frontend(lang).parse(&request.source)
@@ -480,7 +481,8 @@ impl FeedbackService {
             // A cache hit answers the *feedback* question, but a learn
             // request must still reach the index — the first occurrence may
             // have been cached without the learn flag.
-            let learned = cached.status == Status::Correct && self.learn_if_requested(request, shard);
+            let learned =
+                cached.status == Status::Correct && self.learn_if_requested(request, shard, parsed.as_ref());
             return Response {
                 id: request.id,
                 status: cached.status,
@@ -502,7 +504,7 @@ impl FeedbackService {
                 // lock held, so a concurrent learn (publishing a successor
                 // index) never stalls it — the answer reflects the
                 // snapshot's generation.
-                match snapshot.store.engine().repair_source(&request.source) {
+                match snapshot.store.engine().repair_parsed(parsed.as_ref()) {
                     Ok(outcome) => {
                         self.record_retrieval(&outcome.result);
                         let status =
@@ -563,7 +565,8 @@ impl FeedbackService {
         // per request, never under the flight slot: a coalesced learn must
         // still insert, and the leader must not hold followers hostage to
         // the writer mutex.
-        let learned = outcome.status == Status::Correct && self.learn_if_requested(request, shard);
+        let learned =
+            outcome.status == Status::Correct && self.learn_if_requested(request, shard, parsed.as_ref());
         if learned {
             // The learn published a new generation, which leaves the entry
             // above unreachable; a correct verdict does not depend on the
@@ -613,7 +616,12 @@ impl FeedbackService {
     /// is copy-on-write: the successor store is built under the shard's
     /// writer mutex but outside its `RwLock`, whose write lock is taken only
     /// to swap the new snapshot in. Returns whether an insertion happened.
-    fn learn_if_requested(&self, request: &Request, shard: &ProblemShard) -> bool {
+    fn learn_if_requested(
+        &self,
+        request: &Request,
+        shard: &ProblemShard,
+        parsed: &dyn ParsedSubmission,
+    ) -> bool {
         if !(self.config.learn && request.learn.unwrap_or(false)) {
             return false;
         }
@@ -624,17 +632,16 @@ impl FeedbackService {
         // is copy-on-write, so the guard data is always consistent.
         let _writer = shard.write.lock().unwrap_or_else(PoisonError::into_inner);
         let current = shard.snapshot();
-        match current.store.with_learned(&request.source) {
-            Ok((store, _cluster)) => {
-                let next = Arc::new(Snapshot { generation: current.generation + 1, store });
-                // `current` still holds the old snapshot, so the swap never
-                // frees a store while readers wait on the lock.
-                *shard.current.write().unwrap_or_else(PoisonError::into_inner) = next;
-                self.counters.learned.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => false,
+        let mut store = current.store.clone();
+        if store.insert_correct(parsed, &request.source).is_err() {
+            return false;
         }
+        let next = Arc::new(Snapshot { generation: current.generation + 1, store });
+        // `current` still holds the old snapshot, so the swap never frees a
+        // store while readers wait on the lock.
+        *shard.current.write().unwrap_or_else(PoisonError::into_inner) = next;
+        self.counters.learned.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Hit/miss counters of the result cache's first probe per request.

@@ -24,6 +24,7 @@ use clara_core::{
 };
 use clara_corpus::Problem;
 use clara_lang::Expr;
+use clara_model::frontend::ParsedSubmission;
 use serde::{Deserialize, Serialize};
 
 /// On-disk format version; bumped when the stored shape changes.
@@ -137,7 +138,8 @@ impl ClusterStore {
         };
         let mut usable = 0usize;
         for source in sources {
-            if store.insert_correct(source).is_ok() {
+            let Ok(parsed) = frontend(problem.lang).parse(source) else { continue };
+            if store.insert_correct(parsed.as_ref(), source).is_ok() {
                 usable += 1;
             }
         }
@@ -159,8 +161,10 @@ impl ClusterStore {
         self.engine.clustering_stats()
     }
 
-    /// Inserts a correct solution online and returns the index of the
-    /// cluster it joined (opening a new cluster if none matches).
+    /// Inserts a parsed correct solution online and returns the index of the
+    /// cluster it joined (opening a new cluster if none matches). `source`
+    /// is the text `parsed` came from; it is kept when the solution becomes
+    /// a representative, since representatives persist as source.
     ///
     /// The caller is responsible for having *verified* the solution against
     /// the grading suite first — the store trusts it (the service layer
@@ -169,8 +173,12 @@ impl ClusterStore {
     /// # Errors
     ///
     /// Returns an [`AnalysisError`] when the solution cannot be analysed.
-    pub fn insert_correct(&mut self, source: &str) -> Result<usize, AnalysisError> {
-        let index = self.engine.add_correct_solution(source)?;
+    pub fn insert_correct(
+        &mut self,
+        parsed: &dyn ParsedSubmission,
+        source: &str,
+    ) -> Result<usize, AnalysisError> {
+        let index = self.engine.add_correct_parsed(parsed)?;
         if index == self.rep_sources.len() {
             // The solution opened a new cluster and is its representative.
             self.rep_sources.push(source.to_owned());
@@ -180,18 +188,18 @@ impl ClusterStore {
 
     /// Copy-on-write insertion: builds the *next* index containing `source`
     /// without mutating this one, returning the new store and the index of
-    /// the cluster the solution joined. This is the snapshot writer's path:
-    /// the clone and the matching run off the hot path while readers keep
-    /// serving from the current snapshot, and the returned store is then
-    /// swapped in under a brief write lock.
+    /// the cluster the solution joined. The feedback service learns the
+    /// same way from the request's parse: it clones the current snapshot's
+    /// store off the hot path and calls [`ClusterStore::insert_correct`].
     ///
     /// # Errors
     ///
-    /// Returns an [`AnalysisError`] when the solution cannot be analysed
-    /// (no new store is built).
+    /// Returns an [`AnalysisError`] when the solution cannot be parsed or
+    /// analysed (no new store is built).
     pub fn with_learned(&self, source: &str) -> Result<(Self, usize), AnalysisError> {
+        let parsed = frontend(self.problem.lang).parse(source)?;
         let mut next = self.clone();
-        let cluster = next.insert_correct(source)?;
+        let cluster = next.insert_correct(parsed.as_ref(), source)?;
         Ok((next, cluster))
     }
 
@@ -263,15 +271,23 @@ impl ClusterStore {
         let inputs = problem.inputs();
         let mut clusters = Vec::with_capacity(stored.clusters.len());
         let mut rep_sources = Vec::with_capacity(stored.clusters.len());
+        // v2 files (or a truncated signal table) rebuild the retrieval
+        // signals, which need each representative's surface IR: it comes
+        // from the same parse as the representative's analysis.
+        let stored_signals = stored.retrieval.filter(|signals| signals.len() == stored.clusters.len());
+        let mut surfaces = Vec::new();
         for cluster in stored.clusters {
-            let representative = AnalyzedProgram::from_text_in(
-                problem.lang,
-                &cluster.representative,
-                problem.entry,
-                &inputs,
-                config.repair.fuel,
-            )
-            .map_err(|e| StoreError::Analysis(format!("representative of `{}`: {e}", stored.problem)))?;
+            let stale = |e: AnalysisError| {
+                StoreError::Analysis(format!("representative of `{}`: {e}", stored.problem))
+            };
+            let parsed =
+                frontend(problem.lang).parse(&cluster.representative).map_err(|e| stale(e.into()))?;
+            let representative =
+                AnalyzedProgram::from_parsed(parsed.as_ref(), problem.entry, &inputs, config.repair.fuel)
+                    .map_err(stale)?;
+            if stored_signals.is_none() {
+                surfaces.push(parsed.surface(problem.entry).ok());
+            }
             let slots =
                 cluster.expressions.into_iter().map(|slot| (slot.loc, slot.var, slot.exprs)).collect();
             clusters.push(Cluster::from_parts(representative, cluster.member_ids, slots));
@@ -279,7 +295,6 @@ impl ClusterStore {
         }
         let mut engine =
             Clara::restore_in(problem.lang, problem.entry, inputs, config, clusters, stored.correct_count);
-        let stored_signals = stored.retrieval.filter(|signals| signals.len() == engine.clusters().len());
         let index = match stored_signals {
             // v3: the member-accumulated signals round-trip verbatim, so the
             // warm index retrieves exactly like the cold-built one.
@@ -291,9 +306,7 @@ impl ClusterStore {
             // signals but self-healing, and the next save writes v3.
             None => {
                 let mut rebuilt = CandidateIndex::new();
-                for (i, (cluster, source)) in engine.clusters().iter().zip(&rep_sources).enumerate() {
-                    let surface =
-                        frontend(problem.lang).parse(source).ok().and_then(|p| p.surface(problem.entry).ok());
+                for (i, (cluster, surface)) in engine.clusters().iter().zip(&surfaces).enumerate() {
                     rebuilt.record(i, &QuerySignals::for_program(&cluster.representative, surface.as_ref()));
                 }
                 rebuilt
@@ -532,7 +545,8 @@ mod tests {
         let before = store.engine.clusters().len();
         assert_eq!(store.rep_sources.len(), before);
         // Re-inserting the representative joins its own cluster.
-        let index = store.insert_correct(problem.seeds[0]).unwrap();
+        let parsed = frontend(problem.lang).parse(problem.seeds[0]).unwrap();
+        let index = store.insert_correct(parsed.as_ref(), problem.seeds[0]).unwrap();
         assert!(index < before);
         assert_eq!(store.rep_sources.len(), before);
         assert_eq!(store.engine.correct_count(), 2);

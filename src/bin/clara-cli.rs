@@ -229,11 +229,15 @@ fn repair(problem_name: &str, path: &str, lang: Option<Lang>) -> ExitCode {
         return ExitCode::from(2);
     }
     let Some(source) = load(path) else { return ExitCode::from(2) };
-    if let Err(err) = clara::core::frontend(problem.lang).parse(&source) {
-        println!("syntax error: {err}");
-        return ExitCode::from(2);
-    }
-    if problem.grade_source(&source) == Some(true) {
+    // The attempt's only parse: grading and repair both reuse it.
+    let parsed = match clara::core::frontend(problem.lang).parse(&source) {
+        Ok(parsed) => parsed,
+        Err(err) => {
+            println!("syntax error: {err}");
+            return ExitCode::from(2);
+        }
+    };
+    if parsed.passes(&problem.spec) {
         println!("the attempt already passes all tests — nothing to repair");
         return ExitCode::SUCCESS;
     }
@@ -246,7 +250,7 @@ fn repair(problem_name: &str, path: &str, lang: Option<Lang>) -> ExitCode {
         engine.clusters().len()
     );
 
-    match engine.repair_source(&source) {
+    match engine.repair_parsed(parsed.as_ref()) {
         Err(err) => {
             println!("the attempt cannot be analysed: {err}");
             ExitCode::FAILURE

@@ -17,6 +17,7 @@ use clara_core::{ClaraConfig, DifferentialOracle, OracleVerdict};
 use clara_corpus::{
     all_problems_all_langs, load_regression_dir, regression_dir, replay_entry, Problem, ReplayOutcome,
 };
+use clara_server::{ClusterStore, FeedbackService, Request, ServiceConfig, Status};
 
 fn problem_named(name: &str) -> Problem {
     all_problems_all_langs()
@@ -80,6 +81,54 @@ fn committed_regression_corpus_replays_and_stays_sound() {
                         file.problem, entry.seed_index, entry.source,
                     ),
                 }
+            }
+        }
+    }
+}
+
+/// The serving path must agree with the engine's text entry point on every
+/// committed entry. The service parses each submission once and hands that
+/// parse to grading and repair; the guard-loop and duplicate-loop entries
+/// repair only through flexible alignment, which needs the surface IR built
+/// from that same parse, so a service that dropped it would turn them into
+/// `no_repair` here.
+#[test]
+fn committed_regression_corpus_repairs_identically_through_the_service() {
+    let files = load_regression_dir(&regression_dir()).expect("corpus/regression is readable");
+    assert!(files.len() >= 4, "expected at least 4 committed regression files, found {}", files.len());
+    let problems: Vec<Problem> = files.iter().map(|file| problem_named(&file.problem)).collect();
+    let stores: Vec<ClusterStore> = problems
+        .iter()
+        .map(|problem| ClusterStore::build(problem, problem.seeds.iter().copied(), ClaraConfig::default()).0)
+        .collect();
+    let config = ServiceConfig { learn: false, ..ServiceConfig::default() };
+    let service = FeedbackService::new(stores.clone(), config);
+
+    let mut id = 0u64;
+    for (file, store) in files.iter().zip(&stores) {
+        for entry in &file.entries {
+            id += 1;
+            let request = Request {
+                id,
+                problem: file.problem.clone(),
+                lang: None,
+                source: entry.source.clone(),
+                learn: None,
+                trace: None,
+            };
+            let response = service.handle(&request);
+            let (status, cost) = match store.engine().repair_source(&entry.source) {
+                Ok(outcome) => match &outcome.result.best {
+                    Some(repair) => (Status::Repaired, Some(repair.total_cost)),
+                    None => (Status::NoRepair, None),
+                },
+                Err(_) => (Status::Error, None),
+            };
+            let context = format!("{} seed #{}:\n{}", file.problem, entry.seed_index, entry.source);
+            assert_eq!(response.status, status, "{context}");
+            assert_eq!(response.cost, cost, "{context}");
+            if entry.repaired {
+                assert_eq!(response.status, Status::Repaired, "{context}");
             }
         }
     }
