@@ -8,7 +8,9 @@
 //! verified still-correct variants by `clara_corpus`), repairs the same
 //! wrong-answer mutants with and without the index, and reports candidates
 //! examined, repair latency, repair-rate delta (must be zero — retrieval
-//! never changes the verdict) and the index's resident size.
+//! never changes the verdict) and the index's resident size. It also times
+//! the online write path at each pool size: a learn clones the engine and
+//! inserts one held-out correct solution, as the feedback service does.
 //!
 //! `--smoke` restricts the pools to 60/1k and mirrors the JSON report to
 //! `BENCH_retrieval.json`; the full run covers 10k and writes the same
@@ -44,6 +46,9 @@ struct PoolRow {
     /// Attempts where the shortlist came back empty-handed and the scan
     /// widened back to the full candidate set.
     fallbacks: usize,
+    /// Median over the held-out solutions of one learn: clone the engine,
+    /// insert the solution, drop the successor.
+    learn_ms_p50: f64,
 }
 
 #[derive(Serialize)]
@@ -55,8 +60,14 @@ struct RetrievalReport {
     /// sublinearity headline (a full scan scales as the pool ratio).
     indexed_latency_ratio: f64,
     full_latency_ratio: f64,
+    /// Learn p50 at the largest pool over the smallest; a learn that
+    /// copied the pool would scale as the pool ratio.
+    learn_latency_ratio: f64,
     max_repair_rate_delta: f64,
 }
+
+/// Held-out correct solutions learned once each per pool size.
+const LEARN_SAMPLES: usize = 16;
 
 fn mean(values: &[usize]) -> f64 {
     if values.is_empty() {
@@ -71,6 +82,14 @@ fn main() {
     let problem = derivatives();
     let pool_sizes: &[usize] = if mode.smoke { &[60, 1_000] } else { &[60, 1_000, 10_000] };
     let attempt_target = if mode.smoke { 8 } else { 12 };
+    // The pool generator is prefix-stable, so one run serves every pool
+    // size, and the solutions past the largest pool are in none of them.
+    let largest = pool_sizes.iter().copied().max().unwrap_or(0);
+    let sources = correct_pool(&problem, largest + LEARN_SAMPLES, 0xC0FFEE);
+    let held_out: Vec<Box<dyn ParsedSubmission>> = sources[largest.min(sources.len())..]
+        .iter()
+        .filter_map(|s| frontend(problem.lang).parse(s).ok())
+        .collect();
 
     // One fixed set of wrong-answer attempts is reused across every pool
     // size, so the rows differ only in the pool.
@@ -90,13 +109,20 @@ fn main() {
 
     println!("Retrieval scaling — {} wrong-answer attempts on `{}`:", wrong.len(), problem.name);
     println!(
-        "{:>7} {:>9} {:>12} {:>12} {:>12} {:>12} {:>10} {:>12}",
-        "pool", "clusters", "full cand", "idx cand", "full ms", "idx ms", "fallbacks", "index bytes"
+        "{:>7} {:>9} {:>12} {:>12} {:>12} {:>12} {:>10} {:>12} {:>10}",
+        "pool",
+        "clusters",
+        "full cand",
+        "idx cand",
+        "full ms",
+        "idx ms",
+        "fallbacks",
+        "index bytes",
+        "learn ms"
     );
 
     let mut rows = Vec::new();
     for &target in pool_sizes {
-        let sources = correct_pool(&problem, target, 0xC0FFEE);
         let mut engine = Clara::new_in(
             problem.lang,
             problem.entry.to_owned(),
@@ -104,7 +130,7 @@ fn main() {
             ClaraConfig::default(),
         );
         let mut usable = 0usize;
-        for source in &sources {
+        for source in &sources[..target.min(sources.len())] {
             if engine.add_correct_solution(source).is_ok() {
                 usable += 1;
             }
@@ -142,6 +168,20 @@ fn main() {
         }
         let indexed_seconds = indexed_start.elapsed().as_secs_f64();
 
+        // Online learns, each from this pool: the service clones its
+        // snapshot's engine and inserts into the clone.
+        let mut learn_ms: Vec<f64> = held_out
+            .iter()
+            .map(|parsed| {
+                let start = Instant::now();
+                let mut next = engine.clone();
+                let _ = next.add_correct_parsed(parsed.as_ref());
+                drop(next);
+                start.elapsed().as_secs_f64() * 1_000.0
+            })
+            .collect();
+        learn_ms.sort_by(f64::total_cmp);
+
         let attempts = full_candidates.len();
         let count = attempts.max(1);
         let full_rate = full_repaired as f64 / count as f64;
@@ -160,9 +200,10 @@ fn main() {
             indexed_repaired,
             repair_rate_delta: (full_rate - indexed_rate).abs(),
             fallbacks,
+            learn_ms_p50: learn_ms.get(learn_ms.len() / 2).copied().unwrap_or(0.0),
         };
         println!(
-            "{:>7} {:>9} {:>12.1} {:>12.1} {:>12.2} {:>12.2} {:>10} {:>12}",
+            "{:>7} {:>9} {:>12.1} {:>12.1} {:>12.2} {:>12.2} {:>10} {:>12} {:>10.2}",
             row.pool,
             row.clusters,
             row.full_candidates_mean,
@@ -170,7 +211,8 @@ fn main() {
             row.full_ms_per_attempt,
             row.indexed_ms_per_attempt,
             row.fallbacks,
-            row.index_resident_bytes
+            row.index_resident_bytes,
+            row.learn_ms_p50
         );
         rows.push(row);
     }
@@ -184,12 +226,16 @@ fn main() {
         corpus: format!("pools {pool_sizes:?}, still-correct variants, seed 0xC0FFEE"),
         indexed_latency_ratio: ratio(|r| r.indexed_ms_per_attempt),
         full_latency_ratio: ratio(|r| r.full_ms_per_attempt),
+        learn_latency_ratio: ratio(|r| r.learn_ms_p50),
         max_repair_rate_delta: rows.iter().map(|r| r.repair_rate_delta).fold(0.0, f64::max),
         pools: rows,
     };
     println!(
-        "latency ratio largest/smallest pool: indexed {:.2}x, full scan {:.2}x (max repair-rate delta {:.4})",
-        report.indexed_latency_ratio, report.full_latency_ratio, report.max_repair_rate_delta
+        "latency ratio largest/smallest pool: indexed {:.2}x, full scan {:.2}x, learn {:.2}x (max repair-rate delta {:.4})",
+        report.indexed_latency_ratio,
+        report.full_latency_ratio,
+        report.learn_latency_ratio,
+        report.max_repair_rate_delta
     );
 
     emit_json_report("retrieval", mode, &report);

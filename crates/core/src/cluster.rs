@@ -8,6 +8,7 @@
 //! algorithm later mines these expressions to build candidate local repairs.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use clara_lang::Expr;
 use clara_model::Loc;
@@ -16,31 +17,47 @@ use crate::analysis::AnalyzedProgram;
 use crate::matching::{apply_var_map, find_matching, VarMap};
 
 /// A cluster of dynamically equivalent correct solutions.
+///
+/// Cloning a cluster is cheap: the representative and the expression slot
+/// table sit behind `Arc`s, so a clone shares them and copies only the
+/// member list. Writes go through [`Arc::make_mut`], which copies a shared
+/// slot table first. Both writers check read-only before they write, so a
+/// cluster that an insertion does not change stays shared with the
+/// snapshot it was cloned from. That is what lets the online pool (§2)
+/// publish a successor index that copies only the cluster a learn joined
+/// or opened.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     /// The cluster representative `P_C`.
-    pub representative: AnalyzedProgram,
+    pub representative: Arc<AnalyzedProgram>,
     /// Indices (into the input list of [`cluster_programs`]) of the members.
     pub member_ids: Vec<usize>,
-    /// The cluster expressions `E_C(ℓ, v)`, over the representative's
-    /// variables, de-duplicated structurally.
-    expressions: HashMap<(usize, String), Vec<Expr>>,
-    /// Set view of `expressions` for O(1) structural dedup (Expr is
+    /// The cluster expressions `E_C(ℓ, v)`, shared between clones until one
+    /// of them changes.
+    slots: Arc<Slots>,
+}
+
+/// The cluster expressions `E_C(ℓ, v)` over the representative's
+/// variables, de-duplicated structurally.
+#[derive(Debug, Clone, Default)]
+struct Slots {
+    /// The expressions of each `(loc, var)` slot, in mining order.
+    by_key: HashMap<(usize, String), Vec<Expr>>,
+    /// Set view of `by_key` for O(1) structural dedup (Expr is
     /// `Eq + Hash`).
-    expression_set: HashSet<(usize, String, Expr)>,
+    set: HashSet<(usize, String, Expr)>,
 }
 
 impl Cluster {
     fn new(representative: AnalyzedProgram, id: usize) -> Self {
+        let representative = Arc::new(representative);
         let mut cluster = Cluster {
-            representative,
+            representative: Arc::clone(&representative),
             member_ids: vec![id],
-            expressions: HashMap::new(),
-            expression_set: HashSet::new(),
+            slots: Arc::default(),
         };
-        let identity: VarMap =
-            cluster.representative.program.vars.iter().map(|v| (v.clone(), v.clone())).collect();
-        cluster.absorb_expressions_with(&identity, &cluster.representative.program.clone());
+        let identity: VarMap = representative.program.vars.iter().map(|v| (v.clone(), v.clone())).collect();
+        cluster.absorb_expressions_with(&identity, &representative.program);
         cluster
     }
 
@@ -52,17 +69,17 @@ impl Cluster {
     /// The cluster expressions for `(loc, var)`, where `var` is a variable of
     /// the representative.
     pub fn expressions(&self, loc: Loc, var: &str) -> &[Expr] {
-        self.expressions.get(&(loc.0, var.to_owned())).map(Vec::as_slice).unwrap_or(&[])
+        self.slots.by_key.get(&(loc.0, var.to_owned())).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// All `(loc, var)` pairs that have at least one cluster expression.
     pub fn expression_keys(&self) -> impl Iterator<Item = (Loc, &str)> {
-        self.expressions.keys().map(|(loc, var)| (Loc(*loc), var.as_str()))
+        self.slots.by_key.keys().map(|(loc, var)| (Loc(*loc), var.as_str()))
     }
 
     /// Total number of stored cluster expressions (after de-duplication).
     pub fn expression_count(&self) -> usize {
-        self.expressions.values().map(Vec::len).sum()
+        self.slots.by_key.values().map(Vec::len).sum()
     }
 
     /// Exports the mined cluster expressions in a deterministic order
@@ -72,7 +89,7 @@ impl Cluster {
     /// result to [`Cluster::from_parts`] reconstructs an equivalent cluster.
     pub fn export_expressions(&self) -> Vec<(usize, String, Vec<Expr>)> {
         let mut out: Vec<(usize, String, Vec<Expr>)> =
-            self.expressions.iter().map(|((loc, var), exprs)| (*loc, var.clone(), exprs.clone())).collect();
+            self.slots.by_key.iter().map(|((loc, var), exprs)| (*loc, var.clone(), exprs.clone())).collect();
         out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         out
     }
@@ -87,50 +104,63 @@ impl Cluster {
         member_ids: Vec<usize>,
         expression_slots: Vec<(usize, String, Vec<Expr>)>,
     ) -> Self {
-        let mut expressions: HashMap<(usize, String), Vec<Expr>> = HashMap::new();
-        let mut expression_set = HashSet::new();
+        let mut slots = Slots::default();
         for (loc, var, exprs) in expression_slots {
             for expr in &exprs {
-                expression_set.insert((loc, var.clone(), expr.clone()));
+                slots.set.insert((loc, var.clone(), expr.clone()));
             }
-            expressions.insert((loc, var), exprs);
+            slots.by_key.insert((loc, var), exprs);
         }
-        Cluster { representative, member_ids, expressions, expression_set }
+        Cluster { representative: Arc::new(representative), member_ids, slots: Arc::new(slots) }
     }
 
     /// Caps every expression slot at `max_exprs` variants, keeping the
     /// mining order's prefix (earliest contributions — always including the
     /// representative's own expression, mined first). Returns whether
     /// anything was dropped. Idempotent: capping an already-capped cluster
-    /// is a no-op.
+    /// is a no-op, and a no-op leaves a shared slot table shared.
     pub fn cap_expression_slots(&mut self, max_exprs: usize) -> bool {
         let max_exprs = max_exprs.max(1);
-        let mut changed = false;
-        for ((loc, var), exprs) in self.expressions.iter_mut() {
-            if exprs.len() > max_exprs {
-                for dropped in exprs.drain(max_exprs..) {
-                    self.expression_set.remove(&(*loc, var.clone(), dropped));
-                }
-                changed = true;
+        // Compaction calls this on every cluster after every insertion once
+        // the pool outgrows its budget, so only an actual drop may copy.
+        if self.slots.by_key.values().all(|exprs| exprs.len() <= max_exprs) {
+            return false;
+        }
+        let Slots { by_key, set } = Arc::make_mut(&mut self.slots);
+        for ((loc, var), exprs) in by_key.iter_mut() {
+            for dropped in exprs.drain(max_exprs.min(exprs.len())..) {
+                set.remove(&(*loc, var.clone(), dropped));
             }
         }
-        changed
+        true
     }
 
     pub(crate) fn absorb_member(&mut self, member: &AnalyzedProgram, witness: &VarMap, id: usize) {
         self.member_ids.push(id);
-        let program = member.program.clone();
-        self.absorb_expressions_with(witness, &program);
+        self.absorb_expressions_with(witness, &member.program);
     }
 
+    /// Mines `program`'s updates into the slots, translated through
+    /// `witness`. A member that contributes nothing new (the common case
+    /// for a large cluster) leaves a shared slot table shared.
     fn absorb_expressions_with(&mut self, witness: &VarMap, program: &clara_model::Program) {
+        let mut fresh = Vec::new();
         for loc in program.locs() {
             for (var, expr) in program.updates_at(loc) {
                 let rep_var = witness.get(var).cloned().unwrap_or_else(|| var.clone());
-                let translated = apply_var_map(expr, witness);
-                if self.expression_set.insert((loc.0, rep_var.clone(), translated.clone())) {
-                    self.expressions.entry((loc.0, rep_var)).or_default().push(translated);
+                let key = (loc.0, rep_var, apply_var_map(expr, witness));
+                if !self.slots.set.contains(&key) {
+                    fresh.push(key);
                 }
+            }
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        let Slots { by_key, set } = Arc::make_mut(&mut self.slots);
+        for (loc, rep_var, translated) in fresh {
+            if set.insert((loc, rep_var.clone(), translated.clone())) {
+                by_key.entry((loc, rep_var)).or_default().push(translated);
             }
         }
     }
@@ -164,7 +194,8 @@ impl Default for CompactionConfig {
 
 /// Applies `config` to every cluster: caps each slot, then demotes clusters
 /// beyond the count budget to skeletons. Returns the number of clusters
-/// that lost expressions. Idempotent for a fixed cluster population.
+/// that lost expressions. Idempotent for a fixed cluster population, and a
+/// cluster that is already within bounds keeps a shared slot table shared.
 pub fn compact_clusters(clusters: &mut [Cluster], config: &CompactionConfig) -> usize {
     let mut touched = 0;
     for cluster in clusters.iter_mut() {
@@ -343,7 +374,7 @@ def computeDeriv(poly):
     fn expressions_are_translated_to_representative_variables() {
         let clusters = cluster_programs(vec![analyze(C1), analyze(C2)]);
         let cluster = &clusters[0];
-        for (_, exprs) in cluster.expressions.iter() {
+        for exprs in cluster.slots.by_key.values() {
             for expr in exprs {
                 for var in expr.variables() {
                     assert!(
@@ -361,7 +392,7 @@ def computeDeriv(poly):
         let clusters = cluster_programs(vec![analyze(C1), analyze(C2), analyze(C3)]);
         let original = &clusters[0];
         let rebuilt = Cluster::from_parts(
-            original.representative.clone(),
+            (*original.representative).clone(),
             original.member_ids.clone(),
             original.export_expressions(),
         );

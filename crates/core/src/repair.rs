@@ -1092,15 +1092,19 @@ pub fn repair_against_cluster(
             var_map.insert(v2.clone(), v1.clone());
         }
     }
-    // In `rep_vars` order (deterministic — `add_vars` is a hash map), using
-    // the fresh names fixed before candidate generation.
+    // In `rep_vars` and `impl_vars` order (deterministic — `add_vars` and
+    // `del_vars` are hash maps), using the fresh names fixed before
+    // candidate generation.
     let added_vars: Vec<(String, String)> = rep_vars
         .iter()
         .filter(|v1| add_vars.get(*v1).is_some_and(|id| solution.value(*id)))
         .map(|v1| (v1.clone(), fresh_names[v1.as_str()].clone()))
         .collect();
-    let deleted_vars: Vec<String> =
-        del_vars.iter().filter(|(_, id)| solution.value(**id)).map(|(v2, _)| v2.clone()).collect();
+    let deleted_vars: Vec<String> = impl_vars
+        .iter()
+        .filter(|v2| del_vars.get(*v2).is_some_and(|id| solution.value(*id)))
+        .cloned()
+        .collect();
 
     // Translation of representative variables back to implementation
     // variables (τ⁻¹ extended with the fresh names).
@@ -1335,6 +1339,7 @@ mod tests {
     use super::*;
     use crate::analysis::AnalyzedProgram;
     use crate::cluster::cluster_programs;
+    use crate::feedback::{render_feedback, FeedbackOptions};
     use clara_model::special;
 
     fn poly(xs: &[f64]) -> Value {
@@ -1609,5 +1614,34 @@ def computeDeriv(poly):
         let result = repair_attempt(&derivatives_clusters(), &attempt, &inputs(), &starved);
         assert!(result.best.is_none());
         assert_eq!(result.failure, Some(RepairFailure::SolverBudgetExhausted));
+    }
+
+    #[test]
+    fn deleted_variables_render_in_program_order_on_every_repair() {
+        // Two dead variables, assigned out of alphabetical order: both must
+        // be deleted, and the feedback must list them the same way on every
+        // computation (the ILP's deletion variables sit in a hash map).
+        let attempt = analyze(
+            "def computeDeriv(poly):\n    zed = 1\n    alpha = 2\n    result = []\n    for e in range(1, len(poly)):\n        result.append(float(poly[e]*e))\n    if result == []:\n        return [0.0]\n    else:\n        return result\n",
+        );
+        let clusters = derivatives_clusters();
+        let config = RepairConfig { parallel: false, ..RepairConfig::default() };
+        let expected: Vec<String> =
+            attempt.program.vars.iter().filter(|v| *v == "zed" || *v == "alpha").cloned().collect();
+        assert_eq!(expected.len(), 2);
+        let render = || {
+            let repair = repair_attempt(&clusters, &attempt, &inputs(), &config).best.unwrap();
+            assert_eq!(repair.deleted_vars, expected);
+            render_feedback(&repair, &attempt.program, &FeedbackOptions::default()).lines()
+        };
+        let first = render();
+        let deletions: Vec<&String> = first.iter().filter(|line| line.starts_with("Delete")).collect();
+        assert_eq!(deletions.len(), 2, "{first:?}");
+        for (line, var) in deletions.iter().zip(&expected) {
+            assert!(line.contains(&format!("to {var} ")), "{line} should delete {var}");
+        }
+        for _ in 0..16 {
+            assert_eq!(render(), first);
+        }
     }
 }

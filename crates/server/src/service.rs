@@ -8,6 +8,9 @@
 //! mutex, builds the successor store outside the `RwLock` (a clone plus
 //! [`ClusterStore::insert_correct`]) and takes the write lock only to swap
 //! the new `Arc` in, so readers never wait on a learn's clone-and-insert.
+//! The clone shares every cluster with the current snapshot, and the insert
+//! copies only the cluster it joins or opens, so a learn costs what it
+//! changes rather than a copy of the pool (see [`crate::store`]).
 //!
 //! The result cache in front is a [`StripedCache`]: independently locked
 //! LRU segments keyed by a splitmix-mixed combination of shard, language,
@@ -615,7 +618,10 @@ impl FeedbackService {
     /// when the request asks for it and learning is enabled. The insertion
     /// is copy-on-write: the successor store is built under the shard's
     /// writer mutex but outside its `RwLock`, whose write lock is taken only
-    /// to swap the new snapshot in. Returns whether an insertion happened.
+    /// to swap the new snapshot in. The successor shares every untouched
+    /// cluster with the current snapshot, so dropping the replaced snapshot
+    /// frees only the old copy of the one cluster the learn changed.
+    /// Returns whether an insertion happened.
     fn learn_if_requested(
         &self,
         request: &Request,

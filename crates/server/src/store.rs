@@ -14,9 +14,20 @@
 //! correct submissions are inserted incrementally via
 //! [`ClusterStore::insert_correct`], which either joins an existing cluster
 //! or opens a new one.
+//!
+//! Cloning a store is cheap, so a learn can build its successor from a
+//! clone. Each cluster's representative and expression slot table, and each
+//! representative source, sit behind an `Arc` that the clone shares. The
+//! insertion then copies only what it changes: the slot table of the
+//! cluster it joined (and only if the member mined a new expression), or
+//! the cluster it opened. Compaction checks each slot table read-only and
+//! copies only a table it actually caps. Past the cluster budget it walks
+//! every cluster on every insertion, so a write-first compaction would
+//! copy the whole pool again. The candidate index is still cloned whole.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use clara_core::{
     frontend, AnalysisError, AnalyzedProgram, CandidateIndex, Clara, ClaraConfig, Cluster, ClusteringStats,
@@ -119,7 +130,7 @@ pub struct ClusterStore {
     /// Source text of each cluster's representative, parallel to
     /// `engine.clusters()`. Only representatives are persisted — members
     /// contribute their mined expressions, which live in the clusters.
-    rep_sources: Vec<String>,
+    rep_sources: Vec<Arc<str>>,
 }
 
 impl ClusterStore {
@@ -181,16 +192,19 @@ impl ClusterStore {
         let index = self.engine.add_correct_parsed(parsed)?;
         if index == self.rep_sources.len() {
             // The solution opened a new cluster and is its representative.
-            self.rep_sources.push(source.to_owned());
+            self.rep_sources.push(source.into());
         }
         Ok(index)
     }
 
     /// Copy-on-write insertion: builds the *next* index containing `source`
     /// without mutating this one, returning the new store and the index of
-    /// the cluster the solution joined. The feedback service learns the
-    /// same way from the request's parse: it clones the current snapshot's
-    /// store off the hot path and calls [`ClusterStore::insert_correct`].
+    /// the cluster the solution joined. The successor shares every cluster
+    /// the insertion leaves alone with this store; it owns a copy only of
+    /// the cluster the solution joined or opened (see the module docs). The
+    /// feedback service learns the same way from the request's parse: it
+    /// clones the current snapshot's store and calls
+    /// [`ClusterStore::insert_correct`].
     ///
     /// # Errors
     ///
@@ -217,7 +231,7 @@ impl ClusterStore {
                 .iter()
                 .zip(&self.rep_sources)
                 .map(|(cluster, source)| StoredCluster {
-                    representative: source.clone(),
+                    representative: source.to_string(),
                     member_ids: cluster.member_ids.clone(),
                     expressions: cluster
                         .export_expressions()
@@ -291,7 +305,7 @@ impl ClusterStore {
             let slots =
                 cluster.expressions.into_iter().map(|slot| (slot.loc, slot.var, slot.exprs)).collect();
             clusters.push(Cluster::from_parts(representative, cluster.member_ids, slots));
-            rep_sources.push(cluster.representative);
+            rep_sources.push(cluster.representative.into());
         }
         let mut engine =
             Clara::restore_in(problem.lang, problem.entry, inputs, config, clusters, stored.correct_count);
@@ -536,6 +550,46 @@ mod tests {
         // Unanalysable sources build no successor at all.
         assert!(store.with_learned("def broken(:\n").is_err());
         assert_eq!(store.to_json(), before_json);
+    }
+
+    /// Whether two clusters hold one slot table rather than equal copies: a
+    /// copy reallocates every slot, so each slice would move.
+    fn shares_slot_table(a: &Cluster, b: &Cluster) -> bool {
+        a.expression_keys().count() == b.expression_keys().count()
+            && a.expression_keys().all(|(loc, var)| {
+                std::ptr::eq(a.expressions(loc, var).as_ptr(), b.expressions(loc, var).as_ptr())
+            })
+    }
+
+    #[test]
+    fn learning_shares_every_cluster_it_does_not_touch() {
+        // A one-cluster budget puts the pool past `max_full_clusters`, so
+        // compaction walks every cluster on every insertion.
+        let problem = derivatives();
+        let config = ClaraConfig {
+            compaction: clara_core::CompactionConfig { max_full_clusters: 1, ..Default::default() },
+            ..ClaraConfig::default()
+        };
+        let (last, seeds) = problem.seeds.split_last().unwrap();
+        let (store, _) = ClusterStore::build(&problem, seeds.iter().copied(), config);
+        let parent = store.engine().clusters();
+        assert!(parent.len() > 2, "the budget must be exceeded, got {} clusters", parent.len());
+
+        let largest = (0..parent.len()).max_by_key(|&i| (parent[i].size(), std::cmp::Reverse(i))).unwrap();
+        let (joined, joined_at) = store.with_learned(&store.rep_sources[largest]).unwrap();
+        assert_eq!(joined_at, largest);
+        let (opened, opened_at) = store.with_learned(last).unwrap();
+        assert_eq!(opened_at, parent.len(), "the last seed opens a cluster of its own");
+
+        for (next, touched) in [(joined, joined_at), (opened, opened_at)] {
+            let clusters = next.engine().clusters();
+            for (i, (before, after)) in parent.iter().zip(clusters).enumerate().filter(|(i, _)| *i != touched)
+            {
+                assert!(Arc::ptr_eq(&before.representative, &after.representative), "cluster {i} rep copied");
+                assert!(shares_slot_table(before, after), "cluster {i} slot table copied");
+            }
+            assert_eq!(clusters[touched].size(), parent.get(touched).map_or(1, |c| c.size() + 1));
+        }
     }
 
     #[test]
