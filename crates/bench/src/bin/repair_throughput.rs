@@ -7,12 +7,37 @@
 //! reports attempts-repaired-per-second overall and per problem. In
 //! `--smoke` mode the JSON report (with a top-level `repairs_per_sec`
 //! field) is mirrored to stdout and `BENCH_throughput.json`.
+//!
+//! The report also prices one step of trace analysis against one step of
+//! the MiniPy interpreter on the same fixed diverging attempt
+//! ([`DIVERGING_ATTEMPT`]): both run out of fuel, so the figures are pure
+//! per-step cost. Their ratio does not depend on how fast the host is; CI
+//! caps it (`ci/throughput_baseline.json`).
 
 #![forbid(unsafe_code)]
 
+use std::time::Instant;
+
 use clara_bench::{emit_json_report, run_clara, RunMode};
-use clara_corpus::mooc::all_mooc_problems;
+use clara_core::AnalyzedProgram;
+use clara_corpus::mooc::{all_mooc_problems, derivatives};
+use clara_lang::{parse_program, run_function, InterpError, Limits};
+use clara_model::{lower_entry, Fuel};
 use serde::Serialize;
+
+/// A `derivatives` attempt whose loop never advances: every input with two
+/// or more coefficients runs out of fuel on scalar updates only.
+const DIVERGING_ATTEMPT: &str = "\
+def computeDeriv(poly):
+    result = []
+    e = 1
+    while e < len(poly):
+        d = float(poly[e] * e)
+    return result
+";
+
+/// Timing repetitions of the step-cost probe; the fastest one is reported.
+const STEP_COST_REPS: usize = 5;
 
 #[derive(Serialize)]
 struct ProblemThroughput {
@@ -35,7 +60,48 @@ struct ThroughputReport {
     repair_seconds: f64,
     /// Attempts repaired per second of repair time, across all problems.
     repairs_per_sec: f64,
+    /// Nanoseconds per model step of `AnalyzedProgram::from_program` (trace
+    /// execution plus projections) on [`DIVERGING_ATTEMPT`].
+    analysis_ns_per_step: f64,
+    /// Nanoseconds per interpreter step on the same attempt and inputs.
+    interpreter_ns_per_step: f64,
+    /// `analysis_ns_per_step / interpreter_ns_per_step`.
+    analysis_interpreter_ratio: f64,
     problems: Vec<ProblemThroughput>,
+}
+
+/// The fastest of [`STEP_COST_REPS`] runs of `run`, in nanoseconds per step
+/// (`run` returns its step count).
+fn ns_per_step(mut run: impl FnMut() -> u64) -> f64 {
+    (0..STEP_COST_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            let steps = run();
+            start.elapsed().as_nanos() as f64 / steps as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `(analysis ns/step, interpreter ns/step)` on [`DIVERGING_ATTEMPT`].
+fn step_costs() -> (f64, f64) {
+    let problem = derivatives();
+    let inputs = problem.inputs();
+    let source = parse_program(DIVERGING_ATTEMPT).expect("the diverging attempt parses");
+    let program = lower_entry(&source, problem.entry).expect("the diverging attempt lowers");
+    let analysis = ns_per_step(|| {
+        let analyzed = AnalyzedProgram::from_program(program.clone(), &inputs, Fuel::default());
+        analyzed.traces.iter().map(|t| t.steps.len() as u64).sum()
+    });
+    let limits = Limits { max_steps: problem.spec.limits.max_steps };
+    let interpreter = ns_per_step(|| {
+        let steps = inputs.iter().map(|args| match run_function(&source, problem.entry, args, limits) {
+            Ok(execution) => execution.steps,
+            Err(InterpError::OutOfFuel) => limits.max_steps,
+            Err(e) => panic!("the diverging attempt must only run out of fuel: {e}"),
+        });
+        steps.sum()
+    });
+    (analysis, interpreter)
 }
 
 fn per_sec(count: usize, seconds: f64) -> f64 {
@@ -91,6 +157,7 @@ fn main() {
         problems.push(row);
     }
 
+    let (analysis_ns_per_step, interpreter_ns_per_step) = step_costs();
     let report = ThroughputReport {
         corpus: mode.corpus_label(scale),
         attempts,
@@ -98,6 +165,9 @@ fn main() {
         clustering_seconds,
         repair_seconds,
         repairs_per_sec: per_sec(repaired, repair_seconds),
+        analysis_ns_per_step,
+        interpreter_ns_per_step,
+        analysis_interpreter_ratio: analysis_ns_per_step / interpreter_ns_per_step,
         problems,
     };
     println!(
@@ -110,6 +180,10 @@ fn main() {
         report.clustering_seconds,
         report.repair_seconds,
         report.repairs_per_sec,
+    );
+    println!(
+        "Per-step cost on a diverging attempt: analysis {:.0} ns, interpreter {:.0} ns (ratio {:.2})",
+        report.analysis_ns_per_step, report.interpreter_ns_per_step, report.analysis_interpreter_ratio,
     );
     println!();
     println!("The paper reports ~3s median repair time per attempt (§6.2); this bench tracks");

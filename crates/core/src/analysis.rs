@@ -62,19 +62,11 @@ pub struct AnalyzedProgram {
     /// A cheap fingerprint of the dynamic behaviour used as a clustering
     /// pre-filter: programs with different fingerprints cannot match.
     pub fingerprint: u64,
-    /// Per-variable value projections (with trace separators) and their
-    /// hashes, precomputed once at analysis time. `find_matching` probes the
-    /// representative's projections on every clustering attempt, so these
-    /// must not be recomputed per probe.
-    projections: HashMap<String, Projection>,
-}
-
-/// A cached variable projection: the concatenated per-trace value sequences
-/// and a hash consistent with `Value`'s `py_eq`-based equality.
-#[derive(Debug, Clone)]
-struct Projection {
-    values: Vec<Value>,
-    hash: u64,
+    /// Per-variable projection hashes, precomputed once at analysis time.
+    /// `find_matching` probes the representative's hashes on every
+    /// clustering attempt, so these must not be recomputed per probe; the
+    /// projections themselves are columns of the traces.
+    projection_hashes: HashMap<String, u64>,
 }
 
 impl AnalyzedProgram {
@@ -129,24 +121,28 @@ impl AnalyzedProgram {
     /// Executes an already-lowered program on `inputs`.
     pub fn from_program(program: Program, inputs: &[Vec<Value>], fuel: Fuel) -> Self {
         let traces = execute_on_inputs(&program, inputs, fuel);
-        let projections = compute_projections(&program, &traces);
-        let fingerprint = behaviour_fingerprint(&program, &traces, &projections);
-        AnalyzedProgram { program, traces, fingerprint, projections }
+        let projection_hashes = projection_hashes(&program, &traces);
+        let fingerprint = behaviour_fingerprint(&program, &traces, &projection_hashes);
+        AnalyzedProgram { program, traces, fingerprint, projection_hashes }
     }
 
-    /// The concatenated projection of `var` over all traces (the per-trace
-    /// projections separated by a marker so that boundaries cannot be
-    /// confused). Precomputed at analysis time; unknown variables yield the
-    /// empty projection.
-    pub fn projection(&self, var: &str) -> &[Value] {
-        self.projections.get(var).map(|p| p.values.as_slice()).unwrap_or(&[])
+    /// `true` when the projection of `var` here equals the projection of
+    /// `other_var` in `other`, trace by trace and step by step (`py_eq`).
+    pub fn same_projection(&self, var: &str, other: &AnalyzedProgram, other_var: &str) -> bool {
+        self.traces.len() == other.traces.len()
+            && self
+                .traces
+                .iter()
+                .zip(&other.traces)
+                .all(|(a, b)| a.steps.len() == b.steps.len() && a.projection(var).eq(b.projection(other_var)))
     }
 
-    /// A hash of [`AnalyzedProgram::projection`], consistent with the
-    /// `py_eq`-based equality of value slices: equal projections have equal
-    /// hashes, so unequal hashes prove two projections differ.
+    /// A hash of the projection of `var` over all traces, consistent with
+    /// the `py_eq`-based equality of values: equal projections have equal
+    /// hashes, so unequal hashes prove two projections differ. Precomputed
+    /// at analysis time for the program's variables; other names hash to 0.
     pub fn projection_hash(&self, var: &str) -> u64 {
-        self.projections.get(var).map(|p| p.hash).unwrap_or(0)
+        self.projection_hashes.get(var).copied().unwrap_or(0)
     }
 
     /// The concatenated location sequence over all traces.
@@ -165,27 +161,53 @@ impl AnalyzedProgram {
     }
 }
 
-/// Computes the per-variable projections (and their hashes) once for all
-/// variables of the program.
-fn compute_projections(program: &Program, traces: &[Trace]) -> HashMap<String, Projection> {
+/// Hashes the projection of every variable of the program once: the
+/// per-trace columns concatenated, each followed by a separator value so
+/// that trace boundaries cannot be confused, prefixed by the total length.
+fn projection_hashes(program: &Program, traces: &[Trace]) -> HashMap<String, u64> {
     let separator = Value::str("⋄");
+    let len: usize = traces.iter().map(|t| t.steps.len() + 1).sum();
     program
         .vars
         .iter()
         .map(|var| {
-            let mut values = Vec::new();
+            let mut hasher = Batched::default();
+            len.hash(&mut hasher);
             for trace in traces {
-                values.extend(trace.projection(var));
-                values.push(separator.clone());
+                for value in trace.projection(var) {
+                    value.hash(&mut hasher);
+                }
+                separator.hash(&mut hasher);
             }
-            let mut hasher = DefaultHasher::new();
-            values.len().hash(&mut hasher);
-            for value in &values {
-                value.hash(&mut hasher);
-            }
-            (var.clone(), Projection { hash: hasher.finish(), values })
+            (var.clone(), hasher.finish())
         })
         .collect()
+}
+
+/// A [`DefaultHasher`] fed through a byte buffer: `Value`'s `Hash` writes a
+/// tag and an integer per scalar, and one hasher call per integer costs more
+/// than hashing the bytes. SipHash hashes a byte stream, however it is cut
+/// into writes, so the result equals hashing directly (tested below).
+#[derive(Default)]
+struct Batched {
+    hasher: DefaultHasher,
+    buf: Vec<u8>,
+}
+
+impl Hasher for Batched {
+    fn write(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        if self.buf.len() >= 1 << 16 {
+            self.hasher.write(&self.buf);
+            self.buf.clear();
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let mut hasher = self.hasher.clone();
+        hasher.write(&self.buf);
+        hasher.finish()
+    }
 }
 
 /// A fingerprint of (control-flow structure, location sequence, multiset of
@@ -201,7 +223,7 @@ fn compute_projections(program: &Program, traces: &[Trace]) -> HashMap<String, P
 fn behaviour_fingerprint(
     program: &Program,
     traces: &[Trace],
-    projections: &HashMap<String, Projection>,
+    projection_hashes: &HashMap<String, u64>,
 ) -> u64 {
     let mut hasher = DefaultHasher::new();
     StructSig::sequence_key(&program.signature).hash(&mut hasher);
@@ -214,8 +236,8 @@ fn behaviour_fingerprint(
     // Multiset of projection hashes: order-independent combination (sum of
     // per-variable hashes) so that variable naming/order does not matter.
     let mut combined: u64 = 0;
-    for projection in projections.values() {
-        combined = combined.wrapping_add(projection.hash);
+    for hash in projection_hashes.values() {
+        combined = combined.wrapping_add(*hash);
     }
     combined.hash(&mut hasher);
     program.vars.len().hash(&mut hasher);
@@ -254,6 +276,31 @@ def computeDeriv(poly):
         return [0.0]
     return deriv
 ";
+
+    #[test]
+    fn batched_hashing_equals_direct_hashing() {
+        let values = [
+            Value::Undef,
+            Value::None,
+            Value::Int(-3),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::str(""),
+            Value::str("⋄ x"),
+            Value::list((0..20_000).map(|i| Value::Float(f64::from(i) * 0.5)).collect::<Vec<_>>()),
+            Value::tuple(vec![Value::list(vec![Value::Int(1), Value::str("ab")]), Value::None]),
+        ];
+        let mut direct = DefaultHasher::new();
+        let mut batched = Batched::default();
+        for (i, value) in values.iter().enumerate() {
+            i.hash(&mut direct);
+            value.hash(&mut direct);
+            i.hash(&mut batched);
+            value.hash(&mut batched);
+            assert_eq!(batched.finish(), direct.finish(), "after {value:?}");
+        }
+    }
 
     #[test]
     fn analysis_produces_one_trace_per_input() {

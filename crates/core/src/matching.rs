@@ -79,10 +79,10 @@ pub fn find_matching(p: &AnalyzedProgram, q: &AnalyzedProgram) -> Option<VarMap>
         return None;
     }
 
-    // Candidate edges M ⊆ V_Q × V_P (Fig. 4, lines 5-10). Projections are
-    // precomputed on the `AnalyzedProgram`s; the cached hashes (consistent
-    // with `py_eq`) reject almost all unequal pairs before the value-by-value
-    // comparison runs.
+    // Candidate edges M ⊆ V_Q × V_P (Fig. 4, lines 5-10). Projection hashes
+    // are precomputed on the `AnalyzedProgram`s; they (consistent with
+    // `py_eq`) reject almost all unequal pairs before the value-by-value
+    // comparison of the trace columns runs.
     let q_vars: Vec<&str> = q.program.vars.iter().map(String::as_str).collect();
     let p_vars: Vec<&str> = p.program.vars.iter().map(String::as_str).collect();
     let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); q_vars.len()];
@@ -90,7 +90,7 @@ pub fn find_matching(p: &AnalyzedProgram, q: &AnalyzedProgram) -> Option<VarMap>
         for (pi, p_var) in p_vars.iter().enumerate() {
             if vars_compatible(q_var, p_var, &q.program.params, &p.program.params)
                 && q.projection_hash(q_var) == p.projection_hash(p_var)
-                && q.projection(q_var) == p.projection(p_var)
+                && q.same_projection(q_var, p, p_var)
             {
                 candidates[qi].push(pi);
             }
@@ -170,8 +170,8 @@ pub fn exprs_match(e1: &Expr, e2: &Expr, traces: &[Trace], loc: Loc) -> bool {
     }
     for trace in traces {
         for memory in trace.memories_at(loc) {
-            let v1 = eval_expr(e1, memory).unwrap_or(Value::Undef);
-            let v2 = eval_expr(e2, memory).unwrap_or(Value::Undef);
+            let v1 = eval_expr(e1, &memory).unwrap_or(Value::Undef);
+            let v2 = eval_expr(e2, &memory).unwrap_or(Value::Undef);
             if !v1.py_eq(&v2) {
                 return false;
             }

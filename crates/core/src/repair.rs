@@ -216,6 +216,17 @@ pub enum RepairFailure {
     SolverBudgetExhausted,
 }
 
+impl RepairFailure {
+    /// A stable snake_case name for metric labels and reports.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            RepairFailure::NoMatchingControlFlow => "no_matching_control_flow",
+            RepairFailure::NoFeasibleRepair => "no_feasible_repair",
+            RepairFailure::SolverBudgetExhausted => "solver_budget_exhausted",
+        }
+    }
+}
+
 impl std::fmt::Display for RepairFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

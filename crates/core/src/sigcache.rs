@@ -44,7 +44,7 @@ impl ValueSignature {
 
 struct LocSignatures<'t> {
     /// The memories occurring at the location, over all traces, in order.
-    memories: Vec<&'t Memory>,
+    memories: Vec<Memory<'t>>,
     /// Signature per structurally distinct expression.
     table: HashMap<Expr, ValueSignature>,
 }
@@ -82,7 +82,7 @@ impl<'t> SignatureCache<'t> {
         // stage histogram reflects real work, not memo lookups.
         let _timer = crate::timing::StageTimer::start(crate::timing::Stage::SigCache);
         let values: Vec<Value> =
-            entry.memories.iter().map(|m| eval_expr(expr, *m).unwrap_or(Value::Undef)).collect();
+            entry.memories.iter().map(|m| eval_expr(expr, m).unwrap_or(Value::Undef)).collect();
         let mut hasher = DefaultHasher::new();
         values.len().hash(&mut hasher);
         for value in &values {
@@ -115,7 +115,7 @@ impl<'t> SignatureCache<'t> {
         }
         let mut values = Vec::with_capacity(entry.memories.len());
         for (i, memory) in entry.memories.iter().enumerate() {
-            let value = eval_expr(e2, *memory).unwrap_or(Value::Undef);
+            let value = eval_expr(e2, memory).unwrap_or(Value::Undef);
             if !value.py_eq(&s1.values[i]) {
                 return false;
             }
@@ -149,7 +149,7 @@ impl<'t> SignatureCache<'t> {
         let s1 = self.signature(e1, loc);
         let entry = self.locs.get_mut(&loc.0).expect("loc entry created by signature()");
         for (i, memory) in entry.memories.iter().enumerate() {
-            let env = RenamedEnv { omega, memory };
+            let env = RenamedEnv { omega, memory: *memory };
             let value = eval_expr(e2, &env).unwrap_or(Value::Undef);
             if !value.py_eq(&s1.values[i]) {
                 return false;
@@ -208,7 +208,7 @@ fn eq_under_renaming(e1: &Expr, e2: &Expr, omega: &HashMap<String, String>) -> b
 /// `ω(name)` (or `name` itself when unmapped) from the underlying memory.
 struct RenamedEnv<'a> {
     omega: &'a HashMap<String, String>,
-    memory: &'a Memory,
+    memory: Memory<'a>,
 }
 
 impl clara_lang::Env for RenamedEnv<'_> {
@@ -223,22 +223,30 @@ mod tests {
     use super::*;
     use crate::matching::exprs_match;
     use clara_lang::parse_expression;
-    use clara_model::{Step, TraceStatus};
+    use clara_model::{Slots, Step, TraceStatus};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
-    fn memory(pairs: &[(&str, Value)]) -> Memory {
-        pairs.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect()
+    /// One memory as `(variable, value)` pairs. The memories of one test
+    /// trace name the same variables in the same order.
+    type Row = Vec<(&'static str, Value)>;
+
+    fn memory(pairs: &[(&'static str, Value)]) -> Row {
+        pairs.to_vec()
     }
 
     /// Builds one trace whose steps place each memory at the location cycle
     /// ℓ0, ℓ1, ℓ0, ℓ1, ... so both locations see a disjoint memory subset.
-    fn trace_over(memories: Vec<Memory>) -> Trace {
-        let steps = memories
-            .into_iter()
-            .enumerate()
-            .map(|(i, pre)| Step { loc: Loc(i % 2), post: pre.clone(), pre })
+    /// A step's pre-state is the previous step's post-state, so step `i`
+    /// stores memory `i + 1` (the last step repeats its own).
+    fn trace_over(memories: Vec<Row>) -> Trace {
+        let slots = Arc::new(Slots::new(memories[0].iter().map(|(name, _)| *name)));
+        let frame = |row: &Row| -> Arc<[Value]> { row.iter().map(|(_, value)| value.clone()).collect() };
+        let last = memories.len() - 1;
+        let steps = (0..memories.len())
+            .map(|i| Step { loc: Loc(i % 2), post: frame(&memories[(i + 1).min(last)]) })
             .collect();
-        Trace::new(steps, TraceStatus::Completed)
+        Trace::new(slots, frame(&memories[0]), steps, TraceStatus::Completed)
     }
 
     #[test]
@@ -340,7 +348,7 @@ mod tests {
         })
     }
 
-    fn arb_memory() -> impl Strategy<Value = Memory> {
+    fn arb_memory() -> impl Strategy<Value = Row> {
         (arb_value(), arb_value(), arb_value())
             .prop_map(|(a, b, xs)| memory(&[("a", a), ("b", b), ("xs", xs)]))
     }

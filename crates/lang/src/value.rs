@@ -7,7 +7,7 @@
 //! [`EvalError`] which the program model maps to `⊥`.
 //!
 //! Strings, lists and tuples are backed by [`Arc`], so cloning a value is
-//! O(1) regardless of its size. Trace execution stores two memories per step
+//! O(1) regardless of its size. Trace execution copies a memory per step
 //! and every environment lookup clones the looked-up value, so cheap clones
 //! are what keeps the matching/repair hot path out of `memcpy`. The values
 //! themselves are immutable (all operations build new values), so sharing is

@@ -49,9 +49,7 @@ pub mod surface;
 pub mod unparse;
 
 pub use builder::ModelBuilder;
-pub use exec::{
-    execute, execute_from, execute_on_inputs, initial_memory, Fuel, Memory, Step, Trace, TraceStatus,
-};
+pub use exec::{execute, execute_on_inputs, initial_memory, Fuel, Memory, Slots, Step, Trace, TraceStatus};
 pub use frontend::{Frontend, FrontendError, Lang, MiniPyFrontend, ParsedSubmission, MINIPY};
 pub use lower::{lower_entry, lower_function, surface_function, LowerError};
 pub use program::{special, Loc, LocInfo, LocKind, Program, StructSig, Succ};
@@ -105,10 +103,10 @@ def computeDeriv(poly):
         let trace = execute(&p, &[poly(&[6.3, 7.6, 12.14])], Fuel::default());
         assert_eq!(trace.status, TraceStatus::Completed);
         // result: [] before the loop, [7.6], [7.6, 24.28] inside, unchanged after.
-        let result_values = trace.projection("result");
-        assert_eq!(result_values[0], Value::list(vec![]));
-        assert!(result_values.contains(&Value::list(vec![Value::Float(7.6)])));
-        assert!(result_values.contains(&Value::list(vec![Value::Float(7.6), Value::Float(24.28)])));
+        let result_values: Vec<&Value> = trace.projection("result").collect();
+        assert_eq!(result_values[0], &Value::list(vec![]));
+        assert!(result_values.contains(&&Value::list(vec![Value::Float(7.6)])));
+        assert!(result_values.contains(&&Value::list(vec![Value::Float(7.6), Value::Float(24.28)])));
         assert_eq!(trace.return_value(), Value::list(vec![Value::Float(7.6), Value::Float(24.28)]));
     }
 
@@ -258,8 +256,12 @@ def f(n):
     return n
 ";
         let p = lower_src(src, "f");
-        let trace = execute(&p, &[Value::Int(0)], Fuel { max_steps: 100, ..Fuel::default() });
-        assert_eq!(trace.status, TraceStatus::OutOfFuel);
+        // Fuel runs out at exactly `max_steps` steps.
+        for max_steps in [0, 1, 2, 7, 100] {
+            let trace = execute(&p, &[Value::Int(0)], Fuel { max_steps, ..Fuel::default() });
+            assert_eq!(trace.status, TraceStatus::OutOfFuel);
+            assert_eq!(trace.steps.len(), max_steps);
+        }
     }
 
     #[test]
@@ -273,6 +275,9 @@ def f(xs):
         let p = lower_src(src, "f");
         let trace = execute(&p, &[Value::list(vec![])], Fuel::default());
         assert_eq!(trace.status, TraceStatus::StuckBranch);
+        // The trace ends with the step whose condition is `⊥`.
+        assert_eq!(trace.post(trace.steps.len() - 1).get(special::COND), Some(&Value::Undef));
+        assert_eq!(trace.return_value(), Value::Undef);
     }
 
     #[test]
@@ -303,17 +308,16 @@ def computeDeriv(poly):
         assert_eq!(p.location_count(), 4);
         let trace = execute(&p, &[poly(&[1.0, 2.0, 3.0])], Fuel::default());
         assert_eq!(trace.status, TraceStatus::Completed);
-        let result_values = trace.projection("result");
-        assert!(result_values.contains(&Value::Undef));
+        assert!(trace.projection("result").any(Value::is_undef));
     }
 
     #[test]
     fn projections_and_memories_at() {
         let p = lower_src(C1, "computeDeriv");
         let trace = execute(&p, &[poly(&[1.0, 2.0, 3.0])], Fuel::default());
-        let cond_values = trace.projection(special::COND);
-        assert!(cond_values.contains(&Value::Bool(true)));
-        assert!(cond_values.contains(&Value::Bool(false)));
+        let cond_values: Vec<&Value> = trace.projection(special::COND).collect();
+        assert!(cond_values.contains(&&Value::Bool(true)));
+        assert!(cond_values.contains(&&Value::Bool(false)));
         // The loop body location (ℓ2) is visited twice for a 3-element input.
         assert_eq!(trace.memories_at(Loc(2)).count(), 2);
     }

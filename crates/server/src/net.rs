@@ -24,7 +24,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -267,6 +267,13 @@ struct HttpState {
     responded: bool,
 }
 
+/// How long a connection whose request was rejected as too large keeps
+/// reading (and dropping) input before it is closed. Closing a socket with
+/// unread input makes the kernel send RST instead of FIN, and an RST that
+/// overtakes the reply can destroy it; reading to the peer's EOF avoids
+/// that, and the deadline bounds what a peer that never stops sending costs.
+const DISCARD_GRACE: Duration = Duration::from_secs(2);
+
 struct Conn {
     stream: TcpStream,
     proto: Proto,
@@ -279,6 +286,11 @@ struct Conn {
     input_done: bool,
     http: HttpState,
     last_activity: Instant,
+    /// Set when a request was rejected as too large: input is dropped until
+    /// the peer's EOF or this instant, and the write half is shut down once
+    /// the owed replies are flushed.
+    discard_until: Option<Instant>,
+    write_shut: bool,
 }
 
 impl Conn {
@@ -293,6 +305,8 @@ impl Conn {
             input_done: false,
             http: HttpState::default(),
             last_activity: Instant::now(),
+            discard_until: None,
+            write_shut: false,
         }
     }
 
@@ -301,16 +315,25 @@ impl Conn {
     }
 
     fn wants_read(&self) -> bool {
-        !(self.input_done || self.proto == Proto::Http && self.http.responded)
+        let responded = self.proto == Proto::Http && self.http.responded && self.discard_until.is_none();
+        !(self.input_done || responded)
     }
 
     /// A connection can be dropped when nothing remains to write and no
     /// response is still owed. HTTP connections close after their response
-    /// (`Connection: close`); NDJSON connections close on peer EOF.
+    /// (`Connection: close`); NDJSON connections and rejected ones close on
+    /// peer EOF (or when their discard deadline passes, see `sweep`).
     fn can_close(&self) -> bool {
-        !self.has_unwritten()
-            && self.inflight == 0
-            && (self.input_done || (self.proto == Proto::Http && self.http.responded))
+        let responded = self.proto == Proto::Http && self.http.responded && self.discard_until.is_none();
+        !self.has_unwritten() && self.inflight == 0 && (self.input_done || responded)
+    }
+
+    /// Rejects the connection's input as too large: answers with an error,
+    /// then drops further input (see [`DISCARD_GRACE`]).
+    fn reject_oversized(&mut self) {
+        self.read_buf.clear();
+        self.discard_until = Some(Instant::now() + DISCARD_GRACE);
+        respond(self, "413 Payload Too Large", &render_response(&Response::error(0, "request too large")));
     }
 }
 
@@ -670,18 +693,15 @@ impl EventLoop {
                     conn.input_done = true;
                     break;
                 }
+                // A rejected connection drops its input; past the deadline
+                // it stops reading, and `sweep` closes it.
+                Ok(_) if conn.discard_until.is_some_and(|at| Instant::now() >= at) => break,
+                Ok(_) if conn.discard_until.is_some() => {}
                 Ok(n) => {
                     conn.read_buf.extend_from_slice(&chunk[..n]);
                     conn.last_activity = Instant::now();
                     if conn.read_buf.len() > self.config.max_buffer {
-                        respond(
-                            conn,
-                            "413 Payload Too Large",
-                            &render_response(&Response::error(0, "request too large")),
-                        );
-                        conn.input_done = true;
-                        conn.read_buf.clear();
-                        break;
+                        conn.reject_oversized();
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -849,6 +869,10 @@ impl EventLoop {
             if conn.can_close() {
                 return false;
             }
+            let discard_expired = conn.discard_until.is_some_and(|at| Instant::now() >= at);
+            if discard_expired && conn.inflight == 0 && !conn.has_unwritten() {
+                return false;
+            }
             // Mid-request idle connections (e.g. an HTTP client that never
             // sends its announced body) are dropped after the timeout; a
             // connection with work in flight is never dropped.
@@ -909,7 +933,9 @@ fn respond(conn: &mut Conn, http_status: &str, payload: &str) {
 }
 
 /// Writes as much buffered output as the socket accepts; compacts the
-/// buffer when fully drained. Write errors mark the connection closed.
+/// buffer when fully drained. Write errors mark the connection closed. A
+/// rejected connection's write half is shut down once nothing more is owed,
+/// so the peer reads the error reply and then a clean EOF.
 fn flush_conn(conn: &mut Conn) {
     while conn.write_pos < conn.write_buf.len() {
         match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
@@ -933,6 +959,10 @@ fn flush_conn(conn: &mut Conn) {
     }
     conn.write_buf.clear();
     conn.write_pos = 0;
+    if conn.discard_until.is_some() && conn.inflight == 0 && !conn.write_shut {
+        conn.write_shut = true;
+        let _ = conn.stream.shutdown(Shutdown::Write);
+    }
 }
 
 fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -1107,6 +1137,40 @@ mod tests {
         // The connection is closed after the error.
         let mut rest = String::new();
         assert_eq!(reader.read_line(&mut rest).unwrap(), 0);
+        handle.request_shutdown();
+    }
+
+    #[test]
+    fn rejected_lines_get_the_error_then_a_clean_eof() {
+        // A 64 KiB line against a 1 KiB buffer: the reply must arrive, then
+        // EOF, never a connection reset, on every run.
+        let problem = derivatives();
+        let (store, _) = ClusterStore::build(&problem, problem.seeds.clone(), ClaraConfig::default());
+        let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
+        let server = Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4 }));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = EventLoopConfig { max_buffer: 1024, ..EventLoopConfig::default() };
+        let event_loop =
+            EventLoop::new(Backend::local(server), config).unwrap().with_ndjson_listener(listener).unwrap();
+        let handle = event_loop.handle();
+        std::thread::spawn(move || {
+            let _ = event_loop.run();
+        });
+
+        let huge = "x".repeat(64 * 1024);
+        for run in 0..20 {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+            writeln!(stream, "{huge}").unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap_or_else(|e| panic!("run {run}: reply lost: {e}"));
+            assert!(reply.contains("request too large"), "run {run}: {reply}");
+            let mut rest = String::new();
+            let eof = reader.read_line(&mut rest).unwrap_or_else(|e| panic!("run {run}: no clean EOF: {e}"));
+            assert_eq!(eof, 0, "run {run}: {rest}");
+        }
         handle.request_shutdown();
     }
 

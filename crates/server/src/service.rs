@@ -509,7 +509,7 @@ impl FeedbackService {
                 // snapshot's generation.
                 match snapshot.store.engine().repair_parsed(parsed.as_ref()) {
                     Ok(outcome) => {
-                        self.record_retrieval(&outcome.result);
+                        self.record_repair(&outcome.result);
                         let status =
                             if outcome.result.best.is_some() { Status::Repaired } else { Status::NoRepair };
                         CachedOutcome {
@@ -591,11 +591,17 @@ impl FeedbackService {
         }
     }
 
-    /// Reports how the candidate pre-search behaved on one computed repair:
-    /// service counters for `/stats`, plus a labelled counter and the
-    /// examined-candidate-set-size histogram in the global registry (both
-    /// fleet-mergeable, rendered by `GET /metrics`).
-    fn record_retrieval(&self, result: &clara_core::RepairResult) {
+    /// Reports one computed repair in the global registry: why it found
+    /// nothing, in `clara_repair_failures_total{reason}` (the labels are
+    /// [`clara_core::RepairFailure::as_str`]), and how the candidate
+    /// pre-search behaved, in service counters for `/stats` plus a labelled
+    /// counter and the examined-candidate-set-size histogram (all
+    /// fleet-mergeable, rendered by `GET /metrics`). Cache hits and
+    /// coalesced followers reuse an outcome and are not reported again.
+    fn record_repair(&self, result: &clara_core::RepairResult) {
+        if let Some(failure) = &result.failure {
+            Registry::global().counter("clara_repair_failures_total", &[("reason", failure.as_str())]).inc();
+        }
         let Some(retrieval) = &result.retrieval else { return };
         self.counters.index_retrievals.fetch_add(1, Ordering::Relaxed);
         if retrieval.fell_back {
