@@ -3,9 +3,10 @@
 //! A [`FaultPlan`] is a seeded probability table parsed from a compact spec
 //! string (CLI `--faults` / `CLARA_FAULTS` env), e.g.
 //! `seed=7,drop=0.02,close=0.01,garble=0.02,delay=0.1,delay_ms=5`. The
-//! event loop consults a [`FaultInjector`] once per parsed request and
+//! TCP front door ([`crate::net`]) consults one [`FaultInjector`], shared
+//! by all its connections, once per parsed NDJSON feedback request and
 //! applies the drawn [`FaultAction`] *before* the request reaches the
-//! backend:
+//! backend (stats and metrics probes are exempt):
 //!
 //! * `drop` — swallow the request; the client sees silence and must rely on
 //!   its timeout + retry,
@@ -13,11 +14,13 @@
 //! * `garble` — answer with a non-JSON line, exercising parse-failure
 //!   handling in routers and clients,
 //! * `delay` — park the request for `delay_ms` before processing,
-//!   exercising deadline propagation.
+//!   exercising deadline propagation; later requests on the same
+//!   connection are not held up.
 //!
 //! Decisions come from a [`SplitMix64`] stream owned by the injector, so a
 //! given `(seed, request sequence)` replays the exact same fault schedule —
-//! chaos failures reproduce under the same seed.
+//! chaos failures reproduce under the same seed. With several connections
+//! the sequence is the order in which their requests reach the injector.
 
 use std::fmt;
 use std::time::Duration;

@@ -12,16 +12,29 @@
 //! * [`cache`] — an **LRU result cache** keyed by the formatting-insensitive
 //!   structural program hash, answering duplicate submissions (the dominant
 //!   case in MOOC traffic) in O(1);
-//! * [`pool`] — a hand-rolled, panic-isolated **worker pool** over
-//!   `std::thread` with a bounded job queue for backpressure (the build
-//!   environment is offline: no tokio);
 //! * [`service`] — the **sharded pipeline**: one shard per problem, each
 //!   serving an `Arc` snapshot of its store behind a std `RwLock`, behind
 //!   the shared cache;
-//! * [`protocol`] / [`serve`] — the **front ends**: newline-delimited JSON
-//!   over stdin/stdout and a minimal `TcpListener` HTTP endpoint
-//!   (`POST /repair`, `GET /health`), both wired into `clara-cli` as the
-//!   `serve` and `batch` subcommands.
+//! * [`pool`] / [`serve`] — a panic-isolated **worker pool** over
+//!   `std::thread` with bounded per-worker queues, and the [`Server`] that
+//!   runs the service on it;
+//! * [`protocol`] — the **wire format**: one JSON request per NDJSON line
+//!   or HTTP body, one JSON response back;
+//! * [`net`] — the **front door**: NDJSON over TCP or stdin/stdout and
+//!   HTTP (`POST /repair`, `GET /health`, `/stats`, `/metrics`) on blocking
+//!   std sockets with one thread per connection, a 1 MiB input cap and a
+//!   bounded pending ring that sheds overload; `clara-cli serve` wires it
+//!   up;
+//! * [`shard`] / [`router`] / [`retry`] — the **fleet**: a consistent-hash
+//!   ring assigns each problem×language key to a shard process and its
+//!   replica, and a stateless [`Router`] forwards to them with retries,
+//!   backoff, circuit breakers and failover;
+//! * [`fault`] — seeded **fault injection** for chaos testing the fleet;
+//! * [`obs`] — **observability**: the process-wide metrics [`Registry`],
+//!   latency histograms, Prometheus rendering and structured logs.
+//!
+//! Threads, sockets and locks come from `std` alone (the build environment
+//! is offline: no tokio, no libc), and the crate forbids `unsafe` code.
 //!
 //! ```rust
 //! use std::sync::Arc;
@@ -56,6 +69,7 @@
 //! assert_eq!(dup.feedback, response.feedback);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -74,7 +88,7 @@ pub mod store;
 
 pub use cache::{LruCache, StripedCache};
 pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultPlanError};
-pub use net::{Backend, EventLoop, EventLoopConfig, LoopHandle};
+pub use net::{run_ndjson, Backend, FrontDoor, ShutdownHandle};
 pub use obs::{
     mint_trace_id, render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, MetricsDump, Registry,
 };
@@ -84,7 +98,7 @@ pub use protocol::{
 };
 pub use retry::{BreakerState, CircuitBreaker, RetryPolicy, SplitMix64};
 pub use router::{Router, RouterConfig, RouterReport};
-pub use serve::{default_workers, run_ndjson, serve_http, Server, ServerConfig};
+pub use serve::{default_workers, Server, ServerConfig};
 pub use service::{FeedbackService, ServiceConfig, ServiceStats, ShardStat};
 pub use shard::{HashRing, ShardSpec, ShardSpecError, REPLICATION_FACTOR};
 pub use store::{ClusterStore, StoreError, STORE_FORMAT_VERSION};

@@ -1,118 +1,82 @@
-//! The nonblocking accept loop: `poll(2)`-driven socket multiplexing over a
-//! hand-declared two-symbol FFI surface (the offline build has no
-//! `libc`/`mio`/`tokio`).
+//! The front door: NDJSON and HTTP over blocking std sockets, one thread
+//! per connection, and the NDJSON connection loop that also serves
+//! stdin/stdout ([`run_ndjson`]).
 //!
-//! One thread owns every socket: the NDJSON and HTTP listeners (accepted
-//! nonblocking), all client connections (per-connection read/write buffers)
-//! and a loopback waker pair. Parsed requests are handed to the worker pool
-//! with `try_submit` — never a blocking call, so one flooding client cannot
-//! wedge the loop — and finished responses come back through a completion
-//! queue plus a waker byte. When every worker queue is full, requests park
-//! in a bounded pending ring (retried each iteration); past that bound the
-//! loop sheds load with an explicit `overloaded` error instead of buffering
-//! without limit.
+//! * **Listeners** — each has one accept thread. At most 256 connections
+//!   are live; past that cap, or when no
+//!   thread can be spawned for it, a connection gets one `server
+//!   overloaded` reply and is closed.
+//! * **NDJSON** — the fleet protocol: one request per line, one response
+//!   per line, out-of-order completion correlated by `id`. A connection has
+//!   a reader thread that parses lines and submits requests, and a writer
+//!   thread that receives finished lines through a channel. Workers never
+//!   write to a socket, so a client that stops reading stalls only its own
+//!   writer.
+//! * **HTTP** — `POST /repair`, `GET /health`, `GET /stats`,
+//!   `GET /metrics`. A connection's thread reads the head and body,
+//!   submits, waits for the reply, writes it and closes.
+//! * **Overload** — a request goes to the [`Backend`]'s worker pool without
+//!   blocking. When every worker queue is full it parks in a bounded
+//!   pending ring that one dispatcher thread drains with the pool's
+//!   blocking submit; past 256 parked requests it is shed with
+//!   an explicit `server overloaded` error so clients can back off.
 //!
-//! The same loop serves two protocols and two deployment roles:
-//!
-//! * **NDJSON over TCP** — the fleet protocol: one request per line, one
-//!   response per line, out-of-order completion correlated by `id`.
-//! * **HTTP** — `POST /repair`, `GET /health`, `GET /stats`, parsed
-//!   incrementally (a half-sent request never blocks other connections).
-//! * The [`Backend`] is either a local [`Server`] (a shard process) or a
-//!   [`Router`] forwarding each request to the shard owning its
-//!   problem×language key.
+//! The [`Backend`] is either a local [`Server`] (a shard process) or a
+//! [`Router`] forwarding each request to the shard owning its
+//! problem×language key.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Scope};
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultAction, FaultInjector, FaultPlan};
 use crate::obs::{render_prometheus, Registry};
 use crate::pool::PoolClosed;
-use crate::protocol::{parse_incoming, render_response, Incoming, Request, Response};
+use crate::protocol::{parse_incoming, parse_request, render_response, Incoming, Request, Response};
 use crate::router::Router;
 use crate::serve::Server;
 
-/// `struct pollfd` from `<poll.h>`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// File descriptor to watch (negative entries are ignored by the kernel).
-    pub fd: i32,
-    /// Requested events ([`POLLIN`] / [`POLLOUT`]).
-    pub events: i16,
-    /// Returned events (may include [`POLLERR`] / [`POLLHUP`] unrequested).
-    pub revents: i16,
-}
+/// Input cap: an NDJSON line, an HTTP request (head and body) or an
+/// announced HTTP body larger than this is rejected unparsed.
+const MAX_INPUT: usize = 1 << 20;
 
-/// Data may be read without blocking.
-pub const POLLIN: i16 = 0x001;
-/// Data may be written without blocking.
-pub const POLLOUT: i16 = 0x004;
-/// An error condition is pending on the descriptor.
-pub const POLLERR: i16 = 0x008;
-/// The peer hung up.
-pub const POLLHUP: i16 = 0x010;
+/// Requests parked while every worker queue is full; past this the front
+/// door sheds with a `server overloaded` error.
+const MAX_PENDING: usize = 256;
 
-unsafe extern "C" {
-    /// `nfds_t` is `unsigned long` on Linux.
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-}
+/// Live TCP connections; each further one is answered `server overloaded`
+/// and closed.
+const MAX_CONNECTIONS: usize = 256;
 
-/// Blocks until one of `fds` is ready or `timeout_ms` elapses; returns the
-/// number of descriptors with non-zero `revents` (0 on timeout). `EINTR` is
-/// surfaced as `Ok(0)` — callers loop anyway.
-///
-/// # Errors
-///
-/// Propagates the OS error for anything other than `EINTR`.
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    // SAFETY: `fds` is a valid, exclusively borrowed slice of `#[repr(C)]`
-    // pollfd-layout structs, and the kernel writes only to `revents`.
-    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-    if rc >= 0 {
-        return Ok(rc as usize);
-    }
-    let err = io::Error::last_os_error();
-    if err.kind() == io::ErrorKind::Interrupted {
-        Ok(0)
-    } else {
-        Err(err)
-    }
-}
+/// An HTTP connection that sends nothing for this long mid-request is
+/// dropped.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Tuning knobs of the event loop.
-#[derive(Debug, Clone, Copy)]
-pub struct EventLoopConfig {
-    /// Per-connection input-buffer cap; an NDJSON line or HTTP request
-    /// larger than this is rejected and the connection closed.
-    pub max_buffer: usize,
-    /// Parsed requests parked while every worker queue is full; past this
-    /// the loop sheds with an `overloaded` error response.
-    pub max_pending: usize,
-    /// Connections idle longer than this mid-request are dropped.
-    pub idle_timeout: Duration,
-    /// Deterministic fault injection applied to parsed NDJSON feedback
-    /// requests (chaos testing); `None` serves faithfully.
-    pub faults: Option<FaultPlan>,
-}
+/// How long a connection whose request was rejected as too large keeps
+/// reading (and dropping) input before it is closed. Closing a socket with
+/// unread input makes the kernel send RST instead of FIN, and an RST that
+/// overtakes the reply can destroy it; reading to the peer's EOF avoids
+/// that, and the deadline bounds what a peer that never stops sending costs.
+const DISCARD_GRACE: Duration = Duration::from_secs(2);
 
-impl Default for EventLoopConfig {
-    fn default() -> Self {
-        EventLoopConfig {
-            max_buffer: 1 << 20,
-            max_pending: 256,
-            idle_timeout: Duration::from_secs(10),
-            faults: None,
-        }
-    }
-}
+/// Connection threads decode JSON, and nothing but the stack bounds how
+/// deep the decoder recurses: give them the 8 MiB of a main thread rather
+/// than the 2 MiB default.
+const CONN_STACK: usize = 8 << 20;
 
-/// What the event loop serves: a local shard process or a forwarding
+const OK: &str = "200 OK";
+const BAD_REQUEST: &str = "400 Bad Request";
+const NOT_FOUND: &str = "404 Not Found";
+const TOO_LARGE: &str = "413 Payload Too Large";
+const UNAVAILABLE: &str = "503 Service Unavailable";
+const OVERLOADED: &str = "server overloaded, retry later";
+
+/// What the front door serves: a local shard process or a forwarding
 /// router. All request handling below the socket layer goes through this.
 pub enum Backend {
     /// A local [`Server`]: requests run on this process's worker pool.
@@ -121,29 +85,28 @@ pub enum Backend {
     Router(Arc<Router>),
 }
 
+/// Receives a request's rendered NDJSON response line.
+type ReplyFn = Box<dyn FnOnce(String) + Send>;
+
 impl Backend {
-    /// Wraps a local server.
-    pub fn local(server: Arc<Server>) -> Backend {
-        Backend::Local(server)
-    }
-
-    /// Wraps a router.
-    pub fn router(router: Arc<Router>) -> Backend {
-        Backend::Router(router)
-    }
-
-    /// Submits a request without blocking; the callback receives the
-    /// rendered NDJSON response line. `Ok(false)` means every queue is full.
-    fn try_submit(
-        &self,
-        request: Request,
-        reply: Box<dyn FnOnce(String) + Send>,
-    ) -> Result<bool, PoolClosed> {
+    /// Submits a request without blocking. `Ok(false)` means every queue is
+    /// full and `reply` was dropped unanswered.
+    fn try_submit(&self, request: Request, reply: ReplyFn) -> Result<bool, PoolClosed> {
         match self {
             Backend::Local(server) => {
                 server.try_submit(request, move |response| reply(render_response(&response)))
             }
             Backend::Router(router) => router.try_submit(request, reply),
+        }
+    }
+
+    /// Submits a request, blocking while every queue is full.
+    fn submit(&self, request: Request, reply: ReplyFn) -> Result<(), PoolClosed> {
+        match self {
+            Backend::Local(server) => {
+                server.submit(request, move |response| reply(render_response(&response)))
+            }
+            Backend::Router(router) => router.submit(request, reply),
         }
     }
 
@@ -202,771 +165,616 @@ fn stats_error_line(id: u64, error: &impl std::fmt::Display) -> String {
     render_response(&Response::error(id, format!("stats serialization failed: {error}")))
 }
 
-/// Wakes the event loop from worker threads: one byte down a loopback TCP
-/// pair whose read end sits in the poll set. Writes are nonblocking — a
-/// full socket buffer already guarantees a pending wakeup, so `WouldBlock`
-/// is a success.
-struct Waker {
-    tx: TcpStream,
+/// One answer on its way to a connection: the HTTP status line (ignored
+/// by NDJSON) and the payload.
+type Out = (&'static str, String);
+
+/// A request waiting for a worker: parked in the pending ring, or held
+/// back by an injected delay.
+struct Parked {
+    accepted: Instant,
+    request: Request,
+    out: Sender<Out>,
 }
 
-impl Waker {
-    fn wake(&self) {
-        let _ = (&self.tx).write(&[1]);
+impl Parked {
+    /// Answers the request with an error instead of running it.
+    fn refuse(self, message: &str) {
+        let error = Response::error(self.request.id, message)
+            .with_elapsed(self.accepted.elapsed().as_micros() as u64)
+            .with_trace(self.request.trace);
+        let _ = self.out.send((UNAVAILABLE, render_response(&error)));
     }
 }
 
-/// Finished responses on their way back to the loop thread: rendered
-/// payloads tagged with the owning connection.
-struct Completions {
-    ready: Mutex<Vec<(u64, String)>>,
-    waker: Waker,
-    shutdown: AtomicBool,
-}
-
-impl Completions {
-    fn push(&self, conn: u64, payload: String) {
-        // A worker that panicked while holding the lock left a usable queue
-        // behind; losing completions is worse than seeing its partial state.
-        self.ready.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).push((conn, payload));
-        self.waker.wake();
-    }
-}
-
-/// A handle for requesting event-loop shutdown from another thread (the
-/// stdio anchor of `clara-cli serve` uses this on stdin EOF).
-#[derive(Clone)]
-pub struct LoopHandle {
-    completions: Arc<Completions>,
-}
-
-impl LoopHandle {
-    /// Asks the loop to stop accepting, finish in-flight work and return.
-    pub fn request_shutdown(&self) {
-        self.completions.shutdown.store(true, Ordering::SeqCst);
-        self.completions.waker.wake();
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Proto {
     Ndjson,
     Http,
 }
 
-/// Incremental HTTP request state.
 #[derive(Default)]
-struct HttpState {
-    /// Byte offset where the body starts (headers parsed), if known.
-    body_start: Option<usize>,
-    method: String,
-    path: String,
-    /// `Some(Ok(n))` parsed, `Some(Err(()))` malformed, `None` absent.
-    content_length: Option<Result<usize, ()>>,
-    /// A response has been produced (queued or in flight); input ignored.
-    responded: bool,
+struct State {
+    /// Live TCP connections, each with a handle so shutdown can end its
+    /// reads.
+    conns: HashMap<u64, TcpStream>,
+    next_conn: u64,
+    /// Requests parked while every worker queue was full, in arrival order.
+    pending: VecDeque<Parked>,
+    /// Fault-delayed requests and the instant each is due.
+    delayed: Vec<(Instant, Parked)>,
 }
 
-/// How long a connection whose request was rejected as too large keeps
-/// reading (and dropping) input before it is closed. Closing a socket with
-/// unread input makes the kernel send RST instead of FIN, and an RST that
-/// overtakes the reply can destroy it; reading to the peer's EOF avoids
-/// that, and the deadline bounds what a peer that never stops sending costs.
-const DISCARD_GRACE: Duration = Duration::from_secs(2);
-
-struct Conn {
-    stream: TcpStream,
-    proto: Proto,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    write_pos: usize,
-    /// Requests submitted or parked whose responses have not been written.
-    inflight: usize,
-    /// Peer half-closed, or the connection is committed to closing.
-    input_done: bool,
-    http: HttpState,
-    last_activity: Instant,
-    /// Set when a request was rejected as too large: input is dropped until
-    /// the peer's EOF or this instant, and the write half is shut down once
-    /// the owed replies are flushed.
-    discard_until: Option<Instant>,
-    write_shut: bool,
+/// Everything the threads of one front door share.
+struct Shared {
+    backend: Backend,
+    /// The seeded fault schedule, when chaos testing is enabled.
+    faults: Option<Mutex<FaultInjector>>,
+    /// Set once by shutdown; stored before the state lock is taken so that
+    /// a connection registered under the lock either sees it or is seen by
+    /// the shutdown sweep.
+    stopping: AtomicBool,
+    state: Mutex<State>,
+    /// Signalled on every change the dispatcher or [`FrontDoor::run`] waits
+    /// for: a parked or delayed request, a closed connection, shutdown.
+    changed: Condvar,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, proto: Proto) -> Conn {
-        Conn {
-            stream,
-            proto,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            inflight: 0,
-            input_done: false,
-            http: HttpState::default(),
-            last_activity: Instant::now(),
-            discard_until: None,
-            write_shut: false,
+impl Shared {
+    fn new(backend: Backend, faults: Option<FaultPlan>) -> Shared {
+        Shared {
+            backend,
+            faults: faults.filter(|plan| !plan.is_noop()).map(|plan| Mutex::new(plan.injector())),
+            stopping: AtomicBool::new(false),
+            state: Mutex::new(State::default()),
+            changed: Condvar::new(),
         }
     }
 
-    fn has_unwritten(&self) -> bool {
-        self.write_pos < self.write_buf.len()
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // Every update of the state is a single insert, remove, push or
+        // pop, so a thread that panicked while holding the lock left it
+        // consistent; losing requests would be worse.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn wants_read(&self) -> bool {
-        let responded = self.proto == Proto::Http && self.http.responded && self.discard_until.is_none();
-        !(self.input_done || responded)
+    fn stopping(&self) -> bool {
+        self.stopping.load(Ordering::SeqCst)
     }
 
-    /// A connection can be dropped when nothing remains to write and no
-    /// response is still owed. HTTP connections close after their response
-    /// (`Connection: close`); NDJSON connections and rejected ones close on
-    /// peer EOF (or when their discard deadline passes, see `sweep`).
-    fn can_close(&self) -> bool {
-        let responded = self.proto == Proto::Http && self.http.responded && self.discard_until.is_none();
-        !self.has_unwritten() && self.inflight == 0 && (self.input_done || responded)
+    /// Stops accepting and reading: every live connection's read half is
+    /// shut, so its thread sees EOF, answers what it owes and exits.
+    fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        let state = self.lock();
+        for conn in state.conns.values() {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+        self.changed.notify_all();
     }
 
-    /// Rejects the connection's input as too large: answers with an error,
-    /// then drops further input (see [`DISCARD_GRACE`]).
-    fn reject_oversized(&mut self) {
-        self.read_buf.clear();
-        self.discard_until = Some(Instant::now() + DISCARD_GRACE);
-        respond(self, "413 Payload Too Large", &render_response(&Response::error(0, "request too large")));
+    /// Serves one accepted connection on its own thread, or answers
+    /// `server overloaded` and closes it when `limit` connections are live
+    /// or the thread cannot be spawned.
+    fn admit<'scope>(
+        &'scope self,
+        scope: &'scope Scope<'scope, '_>,
+        stream: TcpStream,
+        proto: Proto,
+        limit: usize,
+    ) {
+        let registered = {
+            let mut state = self.lock();
+            if self.stopping() {
+                return;
+            }
+            match stream.try_clone() {
+                Ok(handle) if state.conns.len() < limit => {
+                    let id = state.next_conn;
+                    state.next_conn += 1;
+                    state.conns.insert(id, handle);
+                    Some(id)
+                }
+                _ => None,
+            }
+        };
+        let Some(id) = registered else { return reject(&stream, proto) };
+        let spawned = thread::Builder::new()
+            .name("clara-conn".to_owned())
+            .stack_size(CONN_STACK)
+            .spawn_scoped(scope, move || {
+                match proto {
+                    Proto::Ndjson => {
+                        let _ = self.serve_ndjson(BufReader::new(&stream), &stream, Some(&stream));
+                    }
+                    Proto::Http => self.serve_http(&stream),
+                }
+                self.unregister(id);
+            });
+        if spawned.is_err() {
+            if let Some(handle) = self.unregister(id) {
+                reject(&handle, proto);
+            }
+        }
     }
-}
 
-/// The poll(2) event loop. See the module docs for the architecture.
-pub struct EventLoop {
-    backend: Backend,
-    config: EventLoopConfig,
-    ndjson: Option<TcpListener>,
-    http: Option<TcpListener>,
-    wake_rx: TcpStream,
-    completions: Arc<Completions>,
-    conns: HashMap<u64, Conn>,
-    next_conn: u64,
-    /// Requests parked while the pool was full, retried each iteration
-    /// (tagged with their accept instant so shed/shutdown errors report the
-    /// real time the request spent waiting).
-    pending: VecDeque<(u64, Instant, Request)>,
-    /// The seeded fault schedule, when chaos testing is enabled.
-    injector: Option<FaultInjector>,
-    /// Fault-delayed requests waiting for their release instant.
-    delayed: VecDeque<(Instant, u64, Request)>,
-}
+    fn unregister(&self, id: u64) -> Option<TcpStream> {
+        let handle = self.lock().conns.remove(&id);
+        self.changed.notify_all();
+        handle
+    }
 
-/// A connected loopback TCP pair (the poll waker; `pipe(2)` would need a
-/// third FFI symbol, and a localhost socket pair behaves identically here).
-fn tcp_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, _) = listener.accept()?;
-    Ok((tx, rx))
-}
+    /// Accepts connections until shutdown.
+    fn accept<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>, listener: TcpListener, proto: Proto) {
+        for stream in listener.incoming() {
+            if self.stopping() {
+                return;
+            }
+            match stream {
+                Ok(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    self.admit(scope, stream, proto, MAX_CONNECTIONS);
+                }
+                // Transient accept errors (ECONNABORTED, EMFILE…) must not
+                // end the listener; the pause keeps EMFILE from spinning.
+                Err(_) => thread::sleep(Duration::from_millis(10)),
+            }
+        }
+    }
 
-impl EventLoop {
-    /// Creates a loop over `backend` with no listeners attached yet.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the loopback waker pair cannot be created.
-    pub fn new(backend: Backend, config: EventLoopConfig) -> io::Result<EventLoop> {
-        let (tx, rx) = tcp_pair()?;
-        tx.set_nonblocking(true)?;
-        tx.set_nodelay(true)?;
-        rx.set_nonblocking(true)?;
-        let completions = Arc::new(Completions {
-            ready: Mutex::new(Vec::new()),
-            waker: Waker { tx },
-            shutdown: AtomicBool::new(false),
-        });
-        let injector = config.faults.filter(|plan| !plan.is_noop()).map(|plan| plan.injector());
-        Ok(EventLoop {
-            backend,
-            config,
-            ndjson: None,
-            http: None,
-            wake_rx: rx,
-            completions,
-            conns: HashMap::new(),
-            next_conn: 0,
-            pending: VecDeque::new(),
-            injector,
-            delayed: VecDeque::new(),
+    /// The fault-schedule decision for the next feedback request.
+    fn fault(&self) -> FaultAction {
+        self.faults.as_ref().map_or(FaultAction::None, |faults| {
+            faults.lock().unwrap_or_else(PoisonError::into_inner).decide()
         })
     }
 
-    /// Attaches the NDJSON-over-TCP listener (the fleet protocol).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the listener cannot be made nonblocking.
-    pub fn with_ndjson_listener(mut self, listener: TcpListener) -> io::Result<EventLoop> {
-        listener.set_nonblocking(true)?;
-        self.ndjson = Some(listener);
-        Ok(self)
-    }
-
-    /// Attaches the HTTP listener.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the listener cannot be made nonblocking.
-    pub fn with_http_listener(mut self, listener: TcpListener) -> io::Result<EventLoop> {
-        listener.set_nonblocking(true)?;
-        self.http = Some(listener);
-        Ok(self)
-    }
-
-    /// A handle for requesting shutdown from another thread.
-    pub fn handle(&self) -> LoopHandle {
-        LoopHandle { completions: Arc::clone(&self.completions) }
-    }
-
-    /// Runs the loop until shutdown is requested and in-flight work has
-    /// drained.
-    ///
-    /// # Errors
-    ///
-    /// Returns a fatal `poll(2)` error; per-connection I/O errors only drop
-    /// that connection.
-    pub fn run(mut self) -> io::Result<()> {
-        loop {
-            let shutting_down = self.completions.shutdown.load(Ordering::SeqCst);
-            if shutting_down {
-                // Stop taking input; drop connections as their in-flight
-                // work drains. Exit once nothing is owed to anyone.
-                for conn in self.conns.values_mut() {
-                    conn.input_done = true;
+    /// Submits a freshly parsed request without blocking; when every worker
+    /// queue is full (or requests are already parked, to keep their order)
+    /// it parks or is shed.
+    fn enqueue(&self, request: Request, out: &Sender<Out>) {
+        let accepted = Instant::now();
+        if self.lock().pending.is_empty() {
+            match self.backend.try_submit(request.clone(), reply_to(out.clone())) {
+                Ok(true) => return,
+                Ok(false) => {}
+                Err(PoolClosed) => {
+                    return Parked { accepted, request, out: out.clone() }.refuse("service is shutting down")
                 }
-                self.conns.retain(|_, c| !c.can_close());
-                if self.conns.is_empty() && self.pending.is_empty() {
+            }
+        }
+        self.park(&mut self.lock(), Parked { accepted, request, out: out.clone() });
+    }
+
+    /// Parks a request for the dispatcher, or sheds it when the ring is
+    /// full.
+    fn park(&self, state: &mut State, parked: Parked) {
+        if state.pending.len() >= MAX_PENDING {
+            self.backend.note_shed();
+            parked.refuse(OVERLOADED);
+        } else {
+            state.pending.push_back(parked);
+            self.changed.notify_all();
+        }
+    }
+
+    /// The dispatcher: releases due delayed requests into the pending ring
+    /// and submits parked requests, blocking while the pool is full. Returns
+    /// once shutdown has been requested and nothing is parked, delayed or
+    /// connected.
+    fn dispatch(&self) {
+        let mut state = self.lock();
+        loop {
+            let now = Instant::now();
+            while let Some(index) = state.delayed.iter().position(|(due, _)| *due <= now) {
+                let (_, parked) = state.delayed.remove(index);
+                self.park(&mut state, parked);
+            }
+            if let Some(parked) = state.pending.pop_front() {
+                drop(state);
+                if self.backend.submit(parked.request.clone(), reply_to(parked.out.clone())).is_err() {
+                    parked.refuse("service is shutting down");
+                }
+                state = self.lock();
+                continue;
+            }
+            if self.stopping() && state.conns.is_empty() && state.delayed.is_empty() {
+                return;
+            }
+            state = match state.delayed.iter().map(|(due, _)| *due).min() {
+                Some(due) => {
+                    self.changed
+                        .wait_timeout(state, due.saturating_duration_since(now))
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => self.changed.wait(state).unwrap_or_else(PoisonError::into_inner),
+            };
+        }
+    }
+
+    /// Serves one NDJSON connection: reads request lines from `input` until
+    /// EOF, shutdown or a fault-injected close, while a writer thread writes
+    /// the replies to `output`. Returns once every reply owed is written.
+    /// `socket` is the connection's socket (`None` on stdio): a rejected
+    /// connection bounds its discard through it, a `close` fault slams it
+    /// shut, and its write half is shut once the replies are out.
+    ///
+    /// A line longer than 1 MiB is answered `request too large` unparsed,
+    /// and the rest of the input is dropped until EOF (or the discard grace
+    /// on a socket).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first read error, or the writer thread's spawn error
+    /// (after answering `server overloaded` on a socket).
+    fn serve_ndjson(
+        &self,
+        mut input: impl BufRead,
+        output: impl Write + Send,
+        socket: Option<&TcpStream>,
+    ) -> io::Result<()> {
+        thread::scope(|scope| {
+            let (out, replies) = channel::<Out>();
+            let writer = thread::Builder::new().name("clara-ndjson-writer".to_owned()).spawn_scoped(
+                scope,
+                move || {
+                    write_lines(replies, output);
+                    if let Some(socket) = socket {
+                        let _ = socket.shutdown(Shutdown::Write);
+                    }
+                },
+            );
+            if let Err(error) = writer {
+                if let Some(socket) = socket {
+                    reject(socket, Proto::Ndjson);
+                }
+                return Err(error);
+            }
+            let mut line = Vec::new();
+            loop {
+                line.clear();
+                // One byte past the cap tells an oversized line from one
+                // that ends at EOF without a newline.
+                if input.by_ref().take(MAX_INPUT as u64 + 1).read_until(b'\n', &mut line)? == 0
+                    || self.stopping()
+                {
+                    return Ok(());
+                }
+                if line.last() == Some(&b'\n') {
+                    line.pop();
+                } else if line.len() > MAX_INPUT {
+                    let _ = out.send((TOO_LARGE, error_body("request too large")));
+                    drop(out);
+                    discard(&mut input, socket);
+                    return Ok(());
+                }
+                if !self.serve_line(&String::from_utf8_lossy(&line), &out, socket) {
                     return Ok(());
                 }
             }
+        })
+    }
 
-            // (pollfd, what it maps to) — ids resolved after poll returns.
-            let mut fds: Vec<PollFd> = Vec::with_capacity(3 + self.conns.len());
-            let mut tags: Vec<Tag> = Vec::with_capacity(fds.capacity());
-            fds.push(PollFd { fd: self.wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
-            tags.push(Tag::Waker);
-            if !shutting_down {
-                if let Some(listener) = &self.ndjson {
-                    fds.push(PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 });
-                    tags.push(Tag::NdjsonListener);
+    /// Answers or submits one NDJSON line; `false` when a fault closed the
+    /// connection.
+    fn serve_line(&self, line: &str, out: &Sender<Out>, socket: Option<&TcpStream>) -> bool {
+        let line = line.trim();
+        if line.is_empty() {
+            return true;
+        }
+        let answer = match parse_incoming(line) {
+            Ok(Incoming::Stats { id }) => self.backend.stats_line(id),
+            // Metrics probes, like stats, bypass fault injection: the fleet
+            // must stay observable under chaos.
+            Ok(Incoming::Metrics { id }) => self.backend.metrics_line(id),
+            Ok(Incoming::Feedback(request)) => match self.fault() {
+                FaultAction::None => {
+                    self.enqueue(request, out);
+                    return true;
                 }
-                if let Some(listener) = &self.http {
-                    fds.push(PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 });
-                    tags.push(Tag::HttpListener);
-                }
-            }
-            for (&id, conn) in &self.conns {
-                let mut events = 0i16;
-                if conn.wants_read() {
-                    events |= POLLIN;
-                }
-                if conn.has_unwritten() {
-                    events |= POLLOUT;
-                }
-                if events != 0 {
-                    fds.push(PollFd { fd: conn.stream.as_raw_fd(), events, revents: 0 });
-                    tags.push(Tag::Conn(id));
-                }
-            }
-
-            let mut timeout = if self.pending.is_empty() { 200 } else { 20 };
-            if let Some(due) = self.delayed.iter().map(|(at, _, _)| *at).min() {
-                let until = due.saturating_duration_since(Instant::now()).as_millis() as i32;
-                timeout = timeout.min(until.max(1));
-            }
-            poll_fds(&mut fds, timeout)?;
-
-            // Waker bytes: drain and discard (their meaning is "look at the
-            // completion queue / shutdown flag").
-            if fds[0].revents & (POLLIN | POLLERR | POLLHUP) != 0 {
-                let mut sink = [0u8; 64];
-                while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
-            }
-
-            self.drain_completions();
-            self.release_due_delays();
-            self.retry_pending();
-
-            for (fd, tag) in fds.iter().zip(&tags).skip(1) {
-                if fd.revents == 0 {
-                    continue;
-                }
-                match tag {
-                    Tag::Waker => {}
-                    Tag::NdjsonListener => self.accept_all(Proto::Ndjson),
-                    Tag::HttpListener => self.accept_all(Proto::Http),
-                    Tag::Conn(id) => {
-                        let id = *id;
-                        if fd.revents & (POLLIN | POLLHUP | POLLERR) != 0 {
-                            self.read_conn(id);
-                        }
-                        if fd.revents & POLLOUT != 0 {
-                            if let Some(conn) = self.conns.get_mut(&id) {
-                                flush_conn(conn);
-                            }
-                        }
+                FaultAction::Drop => return true, // swallowed: the client sees silence
+                FaultAction::Close => {
+                    // Abrupt close: replies still owed are abandoned, like a
+                    // crash mid-exchange.
+                    if let Some(socket) = socket {
+                        let _ = socket.shutdown(Shutdown::Both);
                     }
+                    return false;
                 }
-            }
-
-            self.sweep(shutting_down);
-        }
-    }
-
-    fn accept_all(&mut self, proto: Proto) {
-        loop {
-            let listener = match proto {
-                Proto::Ndjson => self.ndjson.as_ref(),
-                Proto::Http => self.http.as_ref(),
-            };
-            let Some(listener) = listener else { return };
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let id = self.next_conn;
-                    self.next_conn += 1;
-                    self.conns.insert(id, Conn::new(stream, proto));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // Transient accept errors (ECONNABORTED, EMFILE…): skip this
-                // round rather than killing the loop.
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn drain_completions(&mut self) {
-        let ready = {
-            let mut queue = self.completions.ready.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            std::mem::take(&mut *queue)
-        };
-        for (id, payload) in ready {
-            let Some(conn) = self.conns.get_mut(&id) else { continue };
-            conn.inflight = conn.inflight.saturating_sub(1);
-            match conn.proto {
-                Proto::Ndjson => {
-                    conn.write_buf.extend_from_slice(payload.as_bytes());
-                    conn.write_buf.push(b'\n');
-                }
-                Proto::Http => append_http(conn, "200 OK", &payload),
-            }
-            flush_conn(conn);
-        }
-    }
-
-    /// Retries parked requests against the pool; what still doesn't fit
-    /// stays parked.
-    fn retry_pending(&mut self) {
-        while let Some((id, accepted, request)) = self.pending.pop_front() {
-            if !self.conns.contains_key(&id) {
-                continue;
-            }
-            match self.submit(id, accepted, request) {
-                Submitted::Yes => {}
-                Submitted::Parked(request) => {
-                    self.pending.push_front((id, accepted, request));
-                    return;
-                }
-                Submitted::Closed => return,
-            }
-        }
-    }
-
-    fn submit(&mut self, conn_id: u64, accepted: Instant, request: Request) -> Submitted {
-        let completions = Arc::clone(&self.completions);
-        let reply: Box<dyn FnOnce(String) + Send> = Box::new(move |line| completions.push(conn_id, line));
-        match self.backend.try_submit(request.clone(), reply) {
-            Ok(true) => Submitted::Yes,
-            Ok(false) => Submitted::Parked(request),
-            Err(PoolClosed) => {
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.inflight = conn.inflight.saturating_sub(1);
-                    let error = Response::error(request.id, "service is shutting down")
-                        .with_elapsed(accepted.elapsed().as_micros() as u64)
-                        .with_trace(request.trace.clone());
-                    respond(conn, "503 Service Unavailable", &render_response(&error));
-                }
-                Submitted::Closed
-            }
-        }
-    }
-
-    /// Re-enqueues fault-delayed requests whose release instant has passed.
-    fn release_due_delays(&mut self) {
-        let now = Instant::now();
-        for _ in 0..self.delayed.len() {
-            let Some((due, conn_id, request)) = self.delayed.pop_front() else { break };
-            if due > now {
-                self.delayed.push_back((due, conn_id, request));
-                continue;
-            }
-            if let Some(conn) = self.conns.get_mut(&conn_id) {
-                // Drop the park-time hold; `enqueue` re-counts the request.
-                conn.inflight = conn.inflight.saturating_sub(1);
-                self.enqueue(conn_id, request);
-            }
-        }
-    }
-
-    /// Applies the fault schedule to a freshly parsed feedback request.
-    /// Returns `true` when the request was consumed by a fault.
-    fn inject_fault(&mut self, conn_id: u64, request: &Request) -> bool {
-        let Some(injector) = self.injector.as_mut() else { return false };
-        match injector.decide() {
-            FaultAction::None => false,
-            FaultAction::Drop => true, // swallowed: the client sees silence
-            FaultAction::Close => {
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    // Abrupt close: pending output and owed responses are
-                    // abandoned, exactly like a crash mid-exchange.
-                    conn.input_done = true;
-                    conn.read_buf.clear();
-                    conn.write_buf.clear();
-                    conn.write_pos = 0;
-                    conn.inflight = 0;
-                }
-                true
-            }
-            FaultAction::Garble => {
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    respond(conn, "200 OK", "{\"garbled\":tru"); // deliberately unparseable
-                }
-                true
-            }
-            FaultAction::Delay(by) => {
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    // Hold the connection open while the request is parked.
-                    conn.inflight += 1;
-                    self.delayed.push_back((Instant::now() + by, conn_id, request.clone()));
-                }
-                true
-            }
-        }
-    }
-
-    /// Enqueues a freshly parsed request: submit, park, or shed.
-    fn enqueue(&mut self, conn_id: u64, request: Request) {
-        let accepted = Instant::now();
-        if let Some(conn) = self.conns.get_mut(&conn_id) {
-            conn.inflight += 1;
-        }
-        if self.pending.len() >= self.config.max_pending {
-            // The pending ring is the overload buffer; past it, shed with an
-            // explicit error so clients can back off.
-            self.backend.note_shed();
-            if let Some(conn) = self.conns.get_mut(&conn_id) {
-                conn.inflight = conn.inflight.saturating_sub(1);
-                let error = Response::error(request.id, "server overloaded, retry later")
-                    .with_elapsed(accepted.elapsed().as_micros() as u64)
-                    .with_trace(request.trace.clone());
-                respond(conn, "503 Service Unavailable", &render_response(&error));
-            }
-            return;
-        }
-        if !self.pending.is_empty() {
-            // Preserve submission order behind already-parked requests.
-            self.pending.push_back((conn_id, accepted, request));
-            return;
-        }
-        if let Submitted::Parked(request) = self.submit(conn_id, accepted, request) {
-            self.pending.push_back((conn_id, accepted, request));
-        }
-    }
-
-    fn read_conn(&mut self, id: u64) {
-        let Some(conn) = self.conns.get_mut(&id) else { return };
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.input_done = true;
-                    break;
-                }
-                // A rejected connection drops its input; past the deadline
-                // it stops reading, and `sweep` closes it.
-                Ok(_) if conn.discard_until.is_some_and(|at| Instant::now() >= at) => break,
-                Ok(_) if conn.discard_until.is_some() => {}
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = Instant::now();
-                    if conn.read_buf.len() > self.config.max_buffer {
-                        conn.reject_oversized();
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.input_done = true;
-                    break;
-                }
-            }
-        }
-        match conn.proto {
-            Proto::Ndjson => self.process_ndjson(id),
-            Proto::Http => self.process_http(id),
-        }
-    }
-
-    fn process_ndjson(&mut self, id: u64) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&id) else { return };
-            let Some(newline) = conn.read_buf.iter().position(|&b| b == b'\n') else { return };
-            let line_bytes: Vec<u8> = conn.read_buf.drain(..=newline).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..newline]);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match parse_incoming(line) {
-                Ok(Incoming::Stats { id: request_id }) => {
-                    let stats = self.backend.stats_line(request_id);
-                    let Some(conn) = self.conns.get_mut(&id) else { return };
-                    conn.write_buf.extend_from_slice(stats.as_bytes());
-                    conn.write_buf.push(b'\n');
-                    flush_conn(conn);
-                }
-                // Metrics probes, like stats, bypass fault injection: the
-                // fleet must stay observable under chaos.
-                Ok(Incoming::Metrics { id: request_id }) => {
-                    let dump = self.backend.metrics_line(request_id);
-                    let Some(conn) = self.conns.get_mut(&id) else { return };
-                    conn.write_buf.extend_from_slice(dump.as_bytes());
-                    conn.write_buf.push(b'\n');
-                    flush_conn(conn);
-                }
-                Ok(Incoming::Feedback(request)) => {
-                    if !self.inject_fault(id, &request) {
-                        self.enqueue(id, request);
-                    }
-                }
-                Err(message) => {
-                    let error = render_response(&Response::error(0, format!("malformed request: {message}")));
-                    let Some(conn) = self.conns.get_mut(&id) else { return };
-                    conn.write_buf.extend_from_slice(error.as_bytes());
-                    conn.write_buf.push(b'\n');
-                    flush_conn(conn);
-                }
-            }
-        }
-    }
-
-    fn process_http(&mut self, id: u64) {
-        const MAX_BODY: usize = 1 << 20;
-        let Some(conn) = self.conns.get_mut(&id) else { return };
-        if conn.http.responded {
-            return;
-        }
-        if conn.http.body_start.is_none() {
-            let Some(headers_end) = find_subsequence(&conn.read_buf, b"\r\n\r\n") else {
-                // Headers incomplete; EOF here means the client gave up.
-                if conn.input_done && !conn.read_buf.is_empty() {
-                    respond(
-                        conn,
-                        "400 Bad Request",
-                        &render_response(&Response::error(0, "truncated request head")),
-                    );
-                }
-                return;
-            };
-            let head = String::from_utf8_lossy(&conn.read_buf[..headers_end]).into_owned();
-            conn.http.body_start = Some(headers_end + 4);
-            let mut lines = head.split("\r\n");
-            let request_line = lines.next().unwrap_or("");
-            let mut parts = request_line.split_whitespace();
-            conn.http.method = parts.next().unwrap_or("").to_owned();
-            conn.http.path = parts.next().unwrap_or("").to_owned();
-            for header in lines {
-                if let Some(value) = header.to_ascii_lowercase().strip_prefix("content-length:") {
-                    conn.http.content_length = Some(value.trim().parse::<usize>().map_err(|_| ()));
-                }
-            }
-        }
-
-        let body_start = conn.http.body_start.expect("set above");
-        let bad_request =
-            |message: String| ("400 Bad Request", render_response(&Response::error(0, message)));
-        match (conn.http.method.as_str(), conn.http.path.as_str()) {
-            ("GET", "/health") => {
-                let body = self.backend.health_line();
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                respond(conn, "200 OK", &body);
-            }
-            ("GET", "/stats") => {
-                let body = self.backend.stats_line(0);
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                respond(conn, "200 OK", &body);
-            }
-            ("GET", "/metrics") => {
-                let body = self.backend.metrics_text();
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                append_http_with_type(conn, "200 OK", "text/plain; version=0.0.4", &body);
-                flush_conn(conn);
-            }
-            ("POST", "/repair") => match conn.http.content_length {
-                None => {
-                    let (status, body) = bad_request("missing Content-Length header".to_owned());
-                    respond(conn, status, &body);
-                }
-                Some(Err(())) => {
-                    let (status, body) = bad_request("invalid Content-Length header".to_owned());
-                    respond(conn, status, &body);
-                }
-                Some(Ok(n)) if n > MAX_BODY => {
-                    respond(
-                        conn,
-                        "413 Payload Too Large",
-                        &render_response(&Response::error(0, "body too large")),
-                    );
-                }
-                Some(Ok(n)) => {
-                    let received = conn.read_buf.len().saturating_sub(body_start);
-                    if received < n {
-                        if conn.input_done {
-                            let (status, body) =
-                                bad_request(format!("truncated body: got {received} of {n} bytes"));
-                            respond(conn, status, &body);
-                        }
-                        return; // keep waiting for the rest of the body
-                    }
-                    let body = &conn.read_buf[body_start..body_start + n];
-                    match std::str::from_utf8(body)
-                        .map_err(|e| e.to_string())
-                        .and_then(|s| crate::protocol::parse_request(s).map_err(|e| e.to_string()))
-                    {
-                        Ok(request) => {
-                            conn.http.responded = true; // the completion writes the response
-                            self.enqueue(id, request);
-                        }
-                        Err(message) => {
-                            let (status, body) = bad_request(format!("malformed request: {message}"));
-                            respond(conn, status, &body);
-                        }
-                    }
+                FaultAction::Garble => "{\"garbled\":tru".to_owned(), // deliberately unparseable
+                FaultAction::Delay(by) => {
+                    let now = Instant::now();
+                    self.lock().delayed.push((now + by, Parked { accepted: now, request, out: out.clone() }));
+                    self.changed.notify_all();
+                    return true;
                 }
             },
-            (method, path) => {
-                let body = render_response(&Response::error(0, format!("no route {method} {path}")));
-                respond(conn, "404 Not Found", &body);
+            Err(message) => error_body(&format!("malformed request: {message}")),
+        };
+        let _ = out.send((OK, answer));
+        true
+    }
+
+    /// Serves one HTTP exchange on `stream` and closes it.
+    fn serve_http(&self, stream: &TcpStream) {
+        if stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() {
+            return;
+        }
+        match self.http_response(&mut BufReader::new(stream.take(MAX_INPUT as u64 + 1))) {
+            Ok((status, content_type, body)) => write_http(stream, status, content_type, &body),
+            Err(Stop::Gone) => {}
+            Err(Stop::TooLarge) => {
+                write_http(stream, TOO_LARGE, JSON, &error_body("request too large"));
+                let _ = stream.shutdown(Shutdown::Write);
+                discard(&mut BufReader::new(stream), Some(stream));
             }
         }
     }
 
-    /// Drops finished, broken and idle connections.
-    fn sweep(&mut self, shutting_down: bool) {
-        let idle_timeout = self.config.idle_timeout;
-        self.conns.retain(|_, conn| {
-            if conn.can_close() {
-                return false;
+    /// Reads one HTTP request from `input` (the connection, limited to one
+    /// byte past the input cap) and works out its response.
+    fn http_response(&self, input: &mut impl BufRead) -> Result<HttpReply, Stop> {
+        let bad_request = |message: &str| Ok((BAD_REQUEST, JSON, error_body(message)));
+        let mut head = Vec::new();
+        while !head.ends_with(b"\r\n\r\n") {
+            if input.read_until(b'\n', &mut head).map_err(|_| Stop::Gone)? == 0 {
+                self.early_eof(head.len())?;
+                return bad_request("truncated request head");
             }
-            let discard_expired = conn.discard_until.is_some_and(|at| Instant::now() >= at);
-            if discard_expired && conn.inflight == 0 && !conn.has_unwritten() {
-                return false;
+        }
+        let head_text = String::from_utf8_lossy(&head);
+        let mut lines = head_text.split("\r\n");
+        let mut parts = lines.next().unwrap_or("").split_whitespace();
+        let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+        let mut content_length = None;
+        for header in lines {
+            if let Some(value) = header.to_ascii_lowercase().strip_prefix("content-length:") {
+                content_length = Some(value.trim().parse::<usize>());
             }
-            // Mid-request idle connections (e.g. an HTTP client that never
-            // sends its announced body) are dropped after the timeout; a
-            // connection with work in flight is never dropped.
-            if conn.inflight == 0
-                && !conn.has_unwritten()
-                && conn.last_activity.elapsed() > idle_timeout
-                && (conn.proto == Proto::Http || shutting_down)
-            {
-                return false;
-            }
-            true
-        });
+        }
+        let length = match (method, path) {
+            ("GET", "/health") => return Ok((OK, JSON, self.backend.health_line())),
+            ("GET", "/stats") => return Ok((OK, JSON, self.backend.stats_line(0))),
+            ("GET", "/metrics") => return Ok((OK, PROMETHEUS, self.backend.metrics_text())),
+            ("POST", "/repair") => match content_length {
+                None => return bad_request("missing Content-Length header"),
+                Some(Err(_)) => return bad_request("invalid Content-Length header"),
+                Some(Ok(n)) if n > MAX_INPUT => return Ok((TOO_LARGE, JSON, error_body("body too large"))),
+                Some(Ok(n)) => n,
+            },
+            (method, path) => return Ok((NOT_FOUND, JSON, error_body(&format!("no route {method} {path}")))),
+        };
+        let mut body = Vec::new();
+        input.by_ref().take(length as u64).read_to_end(&mut body).map_err(|_| Stop::Gone)?;
+        if body.len() < length {
+            self.early_eof(head.len() + body.len())?;
+            return bad_request(&format!("truncated body: got {} of {length} bytes", body.len()));
+        }
+        let request = match std::str::from_utf8(&body)
+            .map_err(|e| e.to_string())
+            .and_then(|s| parse_request(s).map_err(|e| e.to_string()))
+        {
+            Ok(request) => request,
+            Err(message) => return bad_request(&format!("malformed request: {message}")),
+        };
+        let (out, reply) = channel();
+        self.enqueue(request, &out);
+        drop(out);
+        let (status, body) = reply.recv().map_err(|_| Stop::Gone)?;
+        Ok((status, JSON, body))
+    }
+
+    /// Classifies an HTTP connection's EOF after `read` bytes of an
+    /// unfinished request: past the input cap it is too large, with nothing
+    /// sent or during shutdown it closes silently, otherwise (`Ok`) the
+    /// request is truncated.
+    fn early_eof(&self, read: usize) -> Result<(), Stop> {
+        if read > MAX_INPUT {
+            Err(Stop::TooLarge)
+        } else if read == 0 || self.stopping() {
+            Err(Stop::Gone)
+        } else {
+            Ok(())
+        }
     }
 }
 
-enum Submitted {
-    Yes,
-    Parked(Request),
-    Closed,
+const JSON: &str = "application/json";
+const PROMETHEUS: &str = "text/plain; version=0.0.4";
+
+/// An HTTP response: status line, content type, body.
+type HttpReply = (&'static str, &'static str, String);
+
+/// Why an HTTP exchange ends without a regular reply.
+enum Stop {
+    /// Over the input cap: answered 413, then the input is discarded.
+    TooLarge,
+    /// Idle past the timeout, reset, or shut down: closed without a reply.
+    Gone,
 }
 
-enum Tag {
-    Waker,
-    NdjsonListener,
-    HttpListener,
-    Conn(u64),
+fn error_body(message: &str) -> String {
+    render_response(&Response::error(0, message))
 }
 
-/// Appends an HTTP response envelope around `body` and marks the exchange
-/// finished.
-fn append_http(conn: &mut Conn, status: &str, body: &str) {
-    append_http_with_type(conn, status, "application/json", body);
+/// A worker-side reply callback that hands the rendered line to a
+/// connection.
+fn reply_to(out: Sender<Out>) -> ReplyFn {
+    Box::new(move |line| {
+        let _ = out.send((OK, line));
+    })
 }
 
-/// [`append_http`] with an explicit content type (`GET /metrics` serves
-/// Prometheus text, not JSON).
-fn append_http_with_type(conn: &mut Conn, status: &str, content_type: &str, body: &str) {
+/// Answers a connection the front door will not serve and closes it.
+fn reject(mut stream: &TcpStream, proto: Proto) {
+    let body = error_body(OVERLOADED);
+    match proto {
+        Proto::Ndjson => {
+            let _ = stream.write_all(format!("{body}\n").as_bytes());
+        }
+        Proto::Http => write_http(stream, UNAVAILABLE, JSON, &body),
+    }
+}
+
+fn write_http(mut stream: &TcpStream, status: &str, content_type: &str, body: &str) {
     let head = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    conn.write_buf.extend_from_slice(head.as_bytes());
-    conn.write_buf.extend_from_slice(body.as_bytes());
-    conn.http.responded = true;
+    let _ = stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body.as_bytes()));
 }
 
-/// Queues a response on the right protocol framing and flushes
-/// opportunistically. For NDJSON the HTTP status is ignored.
-fn respond(conn: &mut Conn, http_status: &str, payload: &str) {
-    match conn.proto {
-        Proto::Ndjson => {
-            conn.write_buf.extend_from_slice(payload.as_bytes());
-            conn.write_buf.push(b'\n');
-        }
-        Proto::Http => append_http(conn, http_status, payload),
-    }
-    flush_conn(conn);
-}
-
-/// Writes as much buffered output as the socket accepts; compacts the
-/// buffer when fully drained. Write errors mark the connection closed. A
-/// rejected connection's write half is shut down once nothing more is owed,
-/// so the peer reads the error reply and then a clean EOF.
-fn flush_conn(conn: &mut Conn) {
-    while conn.write_pos < conn.write_buf.len() {
-        match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-            Ok(0) => {
-                conn.input_done = true;
-                conn.write_buf.clear();
-                conn.write_pos = 0;
-                return;
+/// The NDJSON writer: blocks for the next reply, then drains whatever else
+/// is ready before flushing once, so bursts of replies coalesce into few
+/// `write(2)` calls. Returns when every sender is gone: after a failed
+/// write the replies still owed are received and dropped, so a connection
+/// ends only once all of its work has.
+fn write_lines(replies: Receiver<Out>, output: impl Write) {
+    let mut out = BufWriter::new(output);
+    let mut write = || -> io::Result<()> {
+        while let Ok((_, line)) = replies.recv() {
+            writeln!(out, "{line}")?;
+            while let Ok((_, line)) = replies.try_recv() {
+                writeln!(out, "{line}")?;
             }
-            Ok(n) => conn.write_pos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            out.flush()?;
+        }
+        Ok(())
+    };
+    let _ = write();
+    for _ in replies {}
+}
+
+/// Drops input until EOF, an error, or `DISCARD_GRACE` from now (the
+/// deadline needs a `socket` to time reads out).
+fn discard(input: &mut impl BufRead, socket: Option<&TcpStream>) {
+    let deadline = Instant::now() + DISCARD_GRACE;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || socket.is_some_and(|socket| socket.set_read_timeout(Some(left)).is_err()) {
+            return;
+        }
+        match input.fill_buf() {
+            Ok([]) => return,
+            Ok(available) => {
+                let n = available.len();
+                input.consume(n);
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.input_done = true;
-                conn.write_buf.clear();
-                conn.write_pos = 0;
-                conn.inflight = 0;
-                return;
-            }
+            Err(_) => return,
         }
-    }
-    conn.write_buf.clear();
-    conn.write_pos = 0;
-    if conn.discard_until.is_some() && conn.inflight == 0 && !conn.write_shut {
-        conn.write_shut = true;
-        let _ = conn.stream.shutdown(Shutdown::Write);
     }
 }
 
-fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|window| window == needle)
+/// The TCP front door over a [`Backend`]. See the module docs for the
+/// threads it runs.
+pub struct FrontDoor {
+    shared: Arc<Shared>,
+    listeners: Vec<(TcpListener, Proto)>,
+}
+
+impl FrontDoor {
+    /// A front door over `backend` with no listeners attached yet. `faults`
+    /// is applied to parsed NDJSON feedback requests (chaos testing); `None`
+    /// serves faithfully.
+    pub fn new(backend: Backend, faults: Option<FaultPlan>) -> FrontDoor {
+        FrontDoor { shared: Arc::new(Shared::new(backend, faults)), listeners: Vec::new() }
+    }
+
+    /// Attaches the NDJSON-over-TCP listener (the fleet protocol).
+    pub fn with_ndjson_listener(mut self, listener: TcpListener) -> FrontDoor {
+        self.listeners.push((listener, Proto::Ndjson));
+        self
+    }
+
+    /// Attaches the HTTP listener.
+    pub fn with_http_listener(mut self, listener: TcpListener) -> FrontDoor {
+        self.listeners.push((listener, Proto::Http));
+        self
+    }
+
+    /// A handle for requesting shutdown from another thread.
+    pub fn handle(&self) -> ShutdownHandle {
+        ShutdownHandle { shared: Arc::clone(&self.shared) }
+    }
+
+    /// Serves until shutdown is requested, then returns once every
+    /// connection has been answered what it is owed and closed.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a listener's address cannot be read or a listener or the
+    /// dispatcher thread cannot be spawned; per-connection I/O errors only
+    /// drop that connection.
+    pub fn run(self) -> io::Result<()> {
+        let addrs: Vec<SocketAddr> =
+            self.listeners.iter().map(|(listener, _)| listener.local_addr()).collect::<io::Result<_>>()?;
+        let shared = &*self.shared;
+        thread::scope(|scope| {
+            let spawned = (|| -> io::Result<()> {
+                thread::Builder::new()
+                    .name("clara-dispatch".to_owned())
+                    .spawn_scoped(scope, || shared.dispatch())?;
+                for (listener, proto) in self.listeners {
+                    thread::Builder::new()
+                        .name("clara-accept".to_owned())
+                        .spawn_scoped(scope, move || shared.accept(scope, listener, proto))?;
+                }
+                Ok(())
+            })();
+            if spawned.is_err() {
+                shared.stop();
+            }
+            let mut state = shared.lock();
+            while !shared.stopping() {
+                state = shared.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
+            drop(state);
+            // Each accept thread is blocked in accept(2): one connection
+            // wakes it to see the flag.
+            for mut addr in addrs {
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into());
+                }
+                let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+            }
+            spawned
+        })
+    }
+}
+
+/// Requests shutdown of a running [`FrontDoor`] from another thread (the
+/// stdio anchor of `clara-cli serve` uses this on stdin EOF).
+#[derive(Clone)]
+pub struct ShutdownHandle {
+    shared: Arc<Shared>,
+}
+
+impl ShutdownHandle {
+    /// Asks the front door to stop accepting and reading, answer in-flight
+    /// work and return.
+    pub fn request_shutdown(&self) {
+        self.shared.stop();
+    }
+}
+
+/// Runs the NDJSON protocol over `reader`/`writer` (stdin/stdout for
+/// `clara-cli serve`): one request per line, one response per line
+/// (possibly out of order; correlate by `id`), with the TCP front door's
+/// limits. Returns after EOF once every in-flight request is answered.
+///
+/// # Errors
+///
+/// Returns the first read error, or a thread spawn error.
+pub fn run_ndjson(server: Arc<Server>, reader: impl BufRead, writer: impl Write + Send) -> io::Result<()> {
+    let shared = Shared::new(Backend::Local(server), None);
+    thread::scope(|scope| {
+        thread::Builder::new().name("clara-dispatch".to_owned()).spawn_scoped(scope, || shared.dispatch())?;
+        let served = shared.serve_ndjson(reader, writer, None);
+        shared.stop();
+        served
+    })
 }
 
 #[cfg(test)]
@@ -979,42 +787,7 @@ mod tests {
     use clara_corpus::mooc::derivatives;
     use std::io::{BufRead, BufReader};
 
-    fn tcp_pair_for_test() -> (TcpStream, TcpStream) {
-        tcp_pair().unwrap()
-    }
-
-    #[test]
-    fn poll_times_out_on_idle_sockets() {
-        let (client, _server) = tcp_pair_for_test();
-        let mut fds = [PollFd { fd: client.as_raw_fd(), events: POLLIN, revents: 0 }];
-        assert_eq!(poll_fds(&mut fds, 50).unwrap(), 0);
-        assert_eq!(fds[0].revents, 0);
-    }
-
-    #[test]
-    fn poll_reports_readable_after_a_write() {
-        let (client, mut server) = tcp_pair_for_test();
-        server.write_all(b"ping").unwrap();
-        let mut fds = [PollFd { fd: client.as_raw_fd(), events: POLLIN, revents: 0 }];
-        assert_eq!(poll_fds(&mut fds, 1_000).unwrap(), 1);
-        assert_ne!(fds[0].revents & POLLIN, 0);
-        let mut buf = [0u8; 4];
-        let mut client = client;
-        client.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ping");
-    }
-
-    #[test]
-    fn poll_reports_hangup_or_readable_eof_on_close() {
-        let (client, server) = tcp_pair_for_test();
-        drop(server);
-        let mut fds = [PollFd { fd: client.as_raw_fd(), events: POLLIN, revents: 0 }];
-        assert_eq!(poll_fds(&mut fds, 1_000).unwrap(), 1);
-        // A closed peer shows up as POLLIN (read returns 0) and/or POLLHUP.
-        assert_ne!(fds[0].revents & (POLLIN | POLLHUP), 0);
-    }
-
-    fn spawn_ndjson_server() -> (std::net::SocketAddr, LoopHandle) {
+    fn spawn_ndjson_server() -> (std::net::SocketAddr, ShutdownHandle) {
         let problem = derivatives();
         let seeds: Vec<&str> = problem.seeds.clone();
         let (store, _) = ClusterStore::build(&problem, seeds, ClaraConfig::default());
@@ -1022,10 +795,7 @@ mod tests {
         let server = Arc::new(Server::new(service, ServerConfig { workers: 2, queue_capacity: 8 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let event_loop = EventLoop::new(Backend::local(server), EventLoopConfig::default())
-            .unwrap()
-            .with_ndjson_listener(listener)
-            .unwrap();
+        let event_loop = FrontDoor::new(Backend::Local(server), None).with_ndjson_listener(listener);
         let handle = event_loop.handle();
         std::thread::spawn(move || {
             let _ = event_loop.run();
@@ -1110,6 +880,49 @@ mod tests {
     }
 
     #[test]
+    fn run_returns_after_shutdown_with_idle_connections_open() {
+        let problem = derivatives();
+        let (store, _) = ClusterStore::build(&problem, problem.seeds.clone(), ClaraConfig::default());
+        let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
+        let server = Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4 }));
+        let ndjson = TcpListener::bind("127.0.0.1:0").unwrap();
+        let http = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (ndjson_addr, http_addr) = (ndjson.local_addr().unwrap(), http.local_addr().unwrap());
+        let front_door = FrontDoor::new(Backend::Local(server), None)
+            .with_ndjson_listener(ndjson)
+            .with_http_listener(http);
+        let handle = front_door.handle();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(front_door.run().is_ok()).unwrap());
+
+        // An NDJSON client that got its answer and stays connected (its
+        // reader is blocked at shutdown), and an HTTP client stuck mid-head
+        // (blocked, or refused if shutdown wins the race with accept).
+        let stream = TcpStream::connect(ndjson_addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writeln!(writer, "{}", feedback_line(1)).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let mut half = TcpStream::connect(http_addr).unwrap();
+        half.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        write!(half, "GET /health HTTP/1.1\r\n").unwrap();
+
+        handle.request_shutdown();
+        assert_eq!(finished.recv_timeout(Duration::from_secs(10)), Ok(true), "run must return");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "NDJSON client sees EOF: {line:?}");
+        // The HTTP client is dropped unanswered: EOF, or a reset when its
+        // unread request head is still queued at the close.
+        let mut rest = String::new();
+        match half.read_to_string(&mut rest) {
+            Ok(n) => assert_eq!(n, 0, "{rest:?}"),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+        }
+    }
+
+    #[test]
     fn oversized_ndjson_lines_are_rejected() {
         let problem = derivatives();
         let seeds: Vec<&str> = problem.seeds.clone();
@@ -1118,9 +931,7 @@ mod tests {
         let server = Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let config = EventLoopConfig { max_buffer: 1024, ..EventLoopConfig::default() };
-        let event_loop =
-            EventLoop::new(Backend::local(server), config).unwrap().with_ndjson_listener(listener).unwrap();
+        let event_loop = FrontDoor::new(Backend::Local(server), None).with_ndjson_listener(listener);
         let handle = event_loop.handle();
         std::thread::spawn(move || {
             let _ = event_loop.run();
@@ -1128,7 +939,7 @@ mod tests {
 
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        let huge = "x".repeat(4096);
+        let huge = "x".repeat(MAX_INPUT + 1);
         let _ = writeln!(stream, "{huge}");
         let mut reply = String::new();
         let mut reader = BufReader::new(stream);
@@ -1142,23 +953,21 @@ mod tests {
 
     #[test]
     fn rejected_lines_get_the_error_then_a_clean_eof() {
-        // A 64 KiB line against a 1 KiB buffer: the reply must arrive, then
-        // EOF, never a connection reset, on every run.
+        // A line one byte over the cap: the reply must arrive, then EOF,
+        // never a connection reset, on every run.
         let problem = derivatives();
         let (store, _) = ClusterStore::build(&problem, problem.seeds.clone(), ClaraConfig::default());
         let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
         let server = Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let config = EventLoopConfig { max_buffer: 1024, ..EventLoopConfig::default() };
-        let event_loop =
-            EventLoop::new(Backend::local(server), config).unwrap().with_ndjson_listener(listener).unwrap();
+        let event_loop = FrontDoor::new(Backend::Local(server), None).with_ndjson_listener(listener);
         let handle = event_loop.handle();
         std::thread::spawn(move || {
             let _ = event_loop.run();
         });
 
-        let huge = "x".repeat(64 * 1024);
+        let huge = "x".repeat(MAX_INPUT + 1);
         for run in 0..20 {
             let mut stream = TcpStream::connect(addr).unwrap();
             stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
@@ -1183,12 +992,8 @@ mod tests {
         let server = Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let config = EventLoopConfig {
-            faults: Some("seed=3,garble=1".parse().unwrap()),
-            ..EventLoopConfig::default()
-        };
-        let event_loop =
-            EventLoop::new(Backend::local(server), config).unwrap().with_ndjson_listener(listener).unwrap();
+        let faults = Some("seed=3,garble=1".parse().unwrap());
+        let event_loop = FrontDoor::new(Backend::Local(server), faults).with_ndjson_listener(listener);
         let handle = event_loop.handle();
         std::thread::spawn(move || {
             let _ = event_loop.run();
@@ -1227,6 +1032,171 @@ mod tests {
         let dump: crate::obs::MetricsDump = serde_json::from_str(metrics.trim()).unwrap();
         assert!(dump.metrics_dump);
         assert_eq!(dump.id, 11);
+        handle.request_shutdown();
+    }
+
+    fn spawn_loop(backend: Backend) -> (std::net::SocketAddr, ShutdownHandle) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let event_loop = FrontDoor::new(backend, None).with_ndjson_listener(listener);
+        let handle = event_loop.handle();
+        std::thread::spawn(move || {
+            let _ = event_loop.run();
+        });
+        (addr, handle)
+    }
+
+    fn feedback_line(id: u64) -> String {
+        serde_json::to_string(&Request {
+            id,
+            problem: "derivatives".to_owned(),
+            lang: None,
+            source: "def computeDeriv(poly):\n    return poly\n".to_owned(),
+            learn: None,
+            trace: None,
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn overload_sheds_with_the_request_id_and_counts_it() {
+        // An upstream that accepts connections and never answers holds the
+        // router's only worker (and its one queue slot) for the whole test.
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let router = Arc::new(Router::new(
+            vec![upstream.local_addr().unwrap().to_string()],
+            vec![("derivatives".to_owned(), "minipy".to_owned())],
+            crate::router::RouterConfig { workers: 1, queue_capacity: 1, ..Default::default() },
+        ));
+        let (addr, handle) = spawn_loop(Backend::Router(router));
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+
+        // More requests than the worker, its queue and the 256-request
+        // pending ring hold, then a stats probe. Sheds are answered as their
+        // lines are read, so every one of them precedes the stats reply.
+        let total = 400u64;
+        let mut burst = String::new();
+        for id in 1..=total {
+            burst.push_str(&feedback_line(id));
+            burst.push('\n');
+        }
+        burst.push_str("{\"id\":9999,\"stats\":true}\n");
+        writer.write_all(burst.as_bytes()).unwrap();
+
+        let mut shed = Vec::new();
+        let report = loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            if line.contains("\"router\":true") {
+                break serde_json::from_str::<crate::router::RouterReport>(line.trim()).unwrap();
+            }
+            let response: Response = serde_json::from_str(line.trim()).unwrap();
+            assert_eq!(response.error.as_deref(), Some("server overloaded, retry later"), "{line}");
+            shed.push(response.id);
+        };
+        assert!(!shed.is_empty(), "a full pending ring must shed");
+        assert!(shed.iter().all(|id| (1..=total).contains(id)), "sheds echo their request ids: {shed:?}");
+        assert_eq!(report.shed_requests, shed.len() as u64);
+        handle.request_shutdown();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_does_not_stall_others() {
+        let (addr, handle) = spawn_ndjson_server();
+        // Far more metrics dumps than the socket buffers hold, pipelined by
+        // a client that never reads a byte.
+        let mut flood = TcpStream::connect(addr).unwrap();
+        let flooder = std::thread::spawn(move || {
+            for id in 0..4000 {
+                if writeln!(flood, "{{\"id\":{id},\"metrics\":true}}").is_err() {
+                    break;
+                }
+            }
+            flood
+        });
+
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        for id in [1, 2] {
+            writeln!(writer, "{}", feedback_line(id)).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("a second client is answered while the first never reads");
+            let response: Response = serde_json::from_str(line.trim()).unwrap();
+            assert_eq!(response.id, id);
+        }
+        drop(flooder.join().unwrap());
+        handle.request_shutdown();
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_one_overloaded_reply_and_close() {
+        let problem = derivatives();
+        let (store, _) = ClusterStore::build(&problem, problem.seeds.clone(), ClaraConfig::default());
+        let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
+        let server = Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 1 }));
+        let shared = Shared::new(Backend::Local(server), None);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        for proto in [Proto::Ndjson, Proto::Http] {
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+            let (accepted, _) = listener.accept().unwrap();
+            std::thread::scope(|scope| shared.admit(scope, accepted, proto, 0));
+            let mut reply = String::new();
+            BufReader::new(client).read_to_string(&mut reply).unwrap();
+            let body = match proto {
+                Proto::Ndjson => reply.strip_suffix('\n').unwrap(),
+                Proto::Http => {
+                    assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
+                    reply.split("\r\n\r\n").nth(1).unwrap()
+                }
+            };
+            let response: Response = serde_json::from_str(body).unwrap_or_else(|e| panic!("{reply}: {e}"));
+            assert_eq!(response.error.as_deref(), Some(OVERLOADED));
+        }
+        assert!(shared.lock().conns.is_empty(), "rejected connections are never registered");
+    }
+
+    #[test]
+    fn a_delayed_request_does_not_hold_up_later_ones() {
+        // A seed whose schedule delays the first feedback request by 2 s and
+        // passes the second through.
+        let plan = |seed| FaultPlan { seed, delay: 0.5, delay_ms: 2000, ..FaultPlan::default() };
+        let seed = (0..)
+            .find(|&seed| {
+                let mut injector = plan(seed).injector();
+                matches!(injector.decide(), FaultAction::Delay(_)) && injector.decide() == FaultAction::None
+            })
+            .unwrap();
+        let problem = derivatives();
+        let (store, _) = ClusterStore::build(&problem, problem.seeds.clone(), ClaraConfig::default());
+        let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
+        let server = Arc::new(Server::new(service, ServerConfig { workers: 1, queue_capacity: 4 }));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let front_door =
+            FrontDoor::new(Backend::Local(server), Some(plan(seed))).with_ndjson_listener(listener);
+        let handle = front_door.handle();
+        std::thread::spawn(move || {
+            let _ = front_door.run();
+        });
+
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writeln!(writer, "{}\n{}", feedback_line(1), feedback_line(2)).unwrap();
+        let mut ids = Vec::new();
+        for _ in 0..2 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            ids.push(serde_json::from_str::<Response>(line.trim()).unwrap().id);
+        }
+        assert_eq!(ids, vec![2, 1], "the undelayed request is answered first");
         handle.request_shutdown();
     }
 

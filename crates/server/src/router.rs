@@ -271,8 +271,8 @@ impl Router {
         self.pool.submit((request, reply))
     }
 
-    /// Records a request shed at the front door (queues full). Called by
-    /// the event loop so overload shows up in `/stats`.
+    /// Records a request shed at the front door (pending ring full), so
+    /// overload shows up in `/stats`.
     pub fn note_shed(&self) {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,21 +1,17 @@
-//! Front ends: the pooled server wrapper, the stdin/stdout NDJSON loop and
-//! the HTTP endpoint (served by the poll(2) event loop in [`crate::net`]).
+//! The pooled server: a [`FeedbackService`] behind a [`WorkerPool`].
 //!
-//! All front ends funnel requests through the same [`WorkerPool`] into the
-//! shared [`FeedbackService`], one request per [`FeedbackService::handle`]
-//! call; the bounded per-worker queues give the service backpressure (a
-//! flooding client blocks or is shed instead of ballooning memory). Every
-//! submitted request is answered exactly once: if its handler panics, the
-//! reply still goes out as an internal error.
+//! Every front end in [`crate::net`] (NDJSON over TCP or stdio, HTTP)
+//! submits requests here, one request per [`FeedbackService::handle`] call.
+//! The bounded per-worker queues give the service backpressure: a flooding
+//! client is parked or shed by the front door instead of ballooning memory.
+//! Every submitted request is answered exactly once: if its handler panics,
+//! the reply still goes out as an internal error.
 
-use std::io::{BufRead, BufWriter, Write};
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender, TryRecvError};
 use std::sync::Arc;
 
 use crate::pool::{PoolClosed, WorkerPool};
-use crate::protocol::{parse_incoming, render_response, Incoming, Request, Response, StatsReport};
+use crate::protocol::{Request, Response, StatsReport};
 use crate::service::FeedbackService;
 
 /// Worker-pool sizing of a [`Server`].
@@ -120,7 +116,7 @@ impl Server {
     }
 
     /// Enqueues a request without blocking; `Ok(false)` signals that every
-    /// worker queue is full (the caller sheds or retries — the event loop
+    /// worker queue is full (the caller sheds or retries — the front door
     /// parks the request in its pending ring).
     ///
     /// # Errors
@@ -146,20 +142,10 @@ impl Server {
         self.pool.panic_count()
     }
 
-    /// Jobs currently waiting in the worker queues.
-    pub fn queued(&self) -> u64 {
-        self.pool.queued()
-    }
-
-    /// Records a request shed at the front door (pending ring overflow).
-    /// Called by the event loop so overload shows up in `/stats`.
+    /// Records a request shed at the front door (pending ring overflow), so
+    /// overload shows up in `/stats`.
     pub fn note_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests shed so far.
-    pub fn shed_count(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 
     /// Builds the operational-stats report served by `GET /stats` and the
@@ -190,131 +176,23 @@ impl Server {
     }
 }
 
-/// Runs the NDJSON protocol: one request per `reader` line, one response
-/// per `writer` line (possibly out of order; correlate by `id`). A
-/// `{"id":…,"stats":true}` line is answered inline with a [`StatsReport`].
-/// Returns after EOF once every in-flight request has been answered.
-///
-/// Responses are written by a dedicated writer thread through a
-/// [`BufWriter`]: workers hand finished lines to a channel instead of
-/// contending on a shared `Mutex<dyn Write>` and syscall-flushing per line;
-/// the writer flushes when the channel runs momentarily dry, so bursts of
-/// responses coalesce into few `write(2)` calls.
-///
-/// # Errors
-///
-/// Returns the first I/O error of the reader.
-pub fn run_ndjson(
-    server: &mut Server,
-    reader: impl BufRead,
-    writer: impl Write + Send + 'static,
-) -> std::io::Result<()> {
-    let (line_tx, line_rx) = channel::<String>();
-    let writer_thread = std::thread::Builder::new()
-        .name("clara-ndjson-writer".to_owned())
-        .spawn(move || {
-            let mut out = BufWriter::new(writer);
-            // Block for the next response, then drain whatever else is
-            // ready before flushing once.
-            while let Ok(line) = line_rx.recv() {
-                let _ = writeln!(out, "{line}");
-                loop {
-                    match line_rx.try_recv() {
-                        Ok(line) => {
-                            let _ = writeln!(out, "{line}");
-                        }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            let _ = out.flush();
-                            return;
-                        }
-                    }
-                }
-                let _ = out.flush();
-            }
-            let _ = out.flush();
-        })
-        .expect("spawning the writer thread");
-
-    let send_line = |tx: &Sender<String>, line: String| {
-        let _ = tx.send(line);
-    };
-
-    let mut result = Ok(());
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(e) => {
-                result = Err(e);
-                break;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_incoming(&line) {
-            Ok(Incoming::Stats { id }) => {
-                let report = server.stats_report(id);
-                send_line(&line_tx, serde_json::to_string(&report).expect("stats serialize"));
-            }
-            Ok(Incoming::Metrics { id }) => {
-                let dump = crate::obs::Registry::global().dump(id);
-                send_line(&line_tx, serde_json::to_string(&dump).expect("metrics serialize"));
-            }
-            Ok(Incoming::Feedback(request)) => {
-                let tx = line_tx.clone();
-                let submitted = server.submit(request, move |response| {
-                    let _ = tx.send(render_response(&response));
-                });
-                if submitted.is_err() {
-                    break;
-                }
-            }
-            Err(message) => {
-                send_line(
-                    &line_tx,
-                    render_response(&Response::error(0, format!("malformed request: {message}"))),
-                );
-            }
-        }
-    }
-    // EOF: wait for in-flight requests so the client sees every response
-    // before the stream closes.
-    server.shutdown();
-    drop(line_tx);
-    let _ = writer_thread.join();
-    result
-}
-
-/// Serves the HTTP API on `listener` through the nonblocking poll(2) event
-/// loop until shutdown is requested:
-///
-/// * `POST /repair` with a request body → a response body (handled on the
-///   worker pool, concurrently across connections),
-/// * `GET /health` → service counters,
-/// * `GET /stats` → the full [`StatsReport`].
-///
-/// # Errors
-///
-/// Returns the event-loop I/O error that terminated serving.
-pub fn serve_http(server: Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
-    let backend = crate::net::Backend::local(server);
-    crate::net::EventLoop::new(backend, crate::net::EventLoopConfig::default())?
-        .with_http_listener(listener)?
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{run_ndjson, Backend, FrontDoor};
     use crate::service::ServiceConfig;
     use crate::store::ClusterStore;
     use clara_core::ClaraConfig;
     use clara_corpus::mooc::derivatives;
-    use std::io::Read;
-    use std::net::TcpStream;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
     use std::sync::mpsc::{channel, Sender};
     use std::sync::Mutex;
+
+    /// Serves the HTTP API on `listener` until shutdown is requested.
+    fn serve_http(server: Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
+        FrontDoor::new(Backend::Local(server), None).with_http_listener(listener).run()
+    }
 
     fn test_server(config: ServerConfig) -> Server {
         let problem = derivatives();
@@ -354,7 +232,7 @@ mod tests {
 
     #[test]
     fn ndjson_round_trip_over_in_memory_pipes() {
-        let mut server = test_server(ServerConfig { workers: 2, queue_capacity: 4 });
+        let server = Arc::new(test_server(ServerConfig { workers: 2, queue_capacity: 4 }));
         let input = [
             ndjson_request(1, "def computeDeriv(poly):\n    return poly\n"),
             "not json".to_owned(),
@@ -363,7 +241,7 @@ mod tests {
         ]
         .join("\n");
         let output: Arc<Mutex<Vec<u8>>> = Arc::default();
-        run_ndjson(&mut server, input.as_bytes(), SharedBuf(Arc::clone(&output))).unwrap();
+        run_ndjson(server, input.as_bytes(), SharedBuf(Arc::clone(&output))).unwrap();
         let text = String::from_utf8(output.lock().unwrap().clone()).unwrap();
         let mut responses = Vec::new();
         let mut stats = Vec::new();
@@ -387,6 +265,24 @@ mod tests {
         assert_eq!(stats[0].id, 77);
         assert_eq!(stats[0].workers, 2);
         assert_eq!(stats[0].problems.len(), 1);
+    }
+
+    #[test]
+    fn oversized_stdin_lines_are_rejected_unparsed() {
+        let server = Arc::new(test_server(ServerConfig { workers: 1, queue_capacity: 4 }));
+        // A well-formed request padded to one byte over the 1 MiB line cap:
+        // parsing it would answer id 5, the cap answers id 0.
+        let request = ndjson_request(5, "def computeDeriv(poly):\n    return poly\n");
+        let padding = (1 << 20) + 1 - request.len();
+        let line = format!("{}{}", " ".repeat(padding), request);
+        assert_eq!(line.len(), (1 << 20) + 1);
+        let output: Arc<Mutex<Vec<u8>>> = Arc::default();
+        run_ndjson(server, format!("{line}\n").as_bytes(), SharedBuf(Arc::clone(&output))).unwrap();
+        let text = String::from_utf8(output.lock().unwrap().clone()).unwrap();
+        let replies: Vec<Response> = text.lines().map(|l| serde_json::from_str(l).expect(l)).collect();
+        assert_eq!(replies.len(), 1, "{text}");
+        assert_eq!(replies[0].id, 0);
+        assert_eq!(replies[0].error.as_deref(), Some("request too large"));
     }
 
     #[test]
@@ -508,9 +404,8 @@ mod tests {
 
     #[test]
     fn http_connections_are_served_concurrently() {
-        // The old front end accepted sequentially: a slow client blocked
-        // everyone behind it. The event loop multiplexes: a connection that
-        // has sent only half its request must not delay a complete one.
+        // A connection that has sent only half its request must not delay
+        // a complete one on another connection.
         let server = Arc::new(test_server(ServerConfig { workers: 1, queue_capacity: 4 }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();

@@ -30,8 +30,8 @@
 //!
 //! * `--index-dir DIR` — persist/load cluster indexes under `DIR` (warm
 //!   start: only cluster representatives are re-analysed);
-//! * `--listen ADDR` — serve the NDJSON protocol over TCP on `ADDR`
-//!   through the nonblocking poll(2) event loop (the fleet protocol);
+//! * `--listen ADDR` — serve the NDJSON protocol over TCP on `ADDR` (the
+//!   fleet protocol), one thread per connection;
 //! * `--http ADDR` — serve `POST /repair` / `GET /health` / `GET /stats`
 //!   on `ADDR` (e.g. `127.0.0.1:8077`);
 //! * `--shard i/N` — fleet position: load only the problems this shard
@@ -48,14 +48,14 @@
 //!   breakdown for every request slower than `N` ms (and every failed
 //!   request); `--slow-ms 0` traces everything;
 //! * `--faults SPEC` (or `CLARA_FAULTS`) — deterministic fault injection
-//!   at the net layer for chaos testing, e.g.
+//!   on NDJSON-over-TCP requests for chaos testing, e.g.
 //!   `seed=7,drop=0.02,close=0.01,garble=0.02,delay=0.1,delay_ms=5`.
 //!
-//! Without `--listen`/`--http` the NDJSON protocol runs on stdin/stdout
-//! exactly as before. With either listener the process serves over TCP
-//! instead, prints each bound address to stderr as `(… endpoint on ADDR)`
-//! (bind to port 0 for an ephemeral port), and treats stdin EOF as the
-//! shutdown signal.
+//! Without `--listen`/`--http` the NDJSON protocol runs on stdin/stdout,
+//! through the same connection loop and input cap as a TCP connection. With
+//! either listener the process serves over TCP instead, prints each bound
+//! address to stderr as `(… endpoint on ADDR)` (bind to port 0 for an
+//! ephemeral port), and treats stdin EOF as the shutdown signal.
 
 #![forbid(unsafe_code)]
 
@@ -65,8 +65,8 @@ use std::sync::Arc;
 
 use clara::prelude::*;
 use clara_server::{
-    run_ndjson, Backend, ClusterStore, EventLoop, EventLoopConfig, FaultPlan, FeedbackService, Request,
-    Router, RouterConfig, Server, ServerConfig, ServiceConfig, ShardSpec, Status, REPLICATION_FACTOR,
+    run_ndjson, Backend, ClusterStore, FaultPlan, FeedbackService, FrontDoor, Request, Router, RouterConfig,
+    Server, ServerConfig, ServiceConfig, ShardSpec, Status, REPLICATION_FACTOR,
 };
 
 fn usage() -> ExitCode {
@@ -403,9 +403,9 @@ fn bind_reported(kind: &str, addr: &str) -> Result<std::net::TcpListener, ExitCo
     }
 }
 
-/// Runs an event loop over `backend` with the requested listeners; stdin
-/// EOF (watched from a helper thread) requests shutdown.
-fn run_event_loop(
+/// Serves `backend` over TCP on the requested listeners; stdin EOF
+/// (watched from a helper thread) requests shutdown.
+fn run_front_door(
     backend: Backend,
     listen: Option<&str>,
     http: Option<&str>,
@@ -414,48 +414,25 @@ fn run_event_loop(
     if let Some(plan) = &faults {
         eprintln!("(fault injection armed: {plan:?})");
     }
-    let config = EventLoopConfig { faults, ..EventLoopConfig::default() };
-    let mut event_loop = match EventLoop::new(backend, config) {
-        Ok(event_loop) => event_loop,
-        Err(err) => {
-            eprintln!("cannot start the event loop: {err}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    let attach = |result: std::io::Result<EventLoop>| {
-        result.map_err(|err| {
-            eprintln!("cannot attach listener: {err}");
-            ExitCode::FAILURE
-        })
-    };
+    let mut front_door = FrontDoor::new(backend, faults);
     if let Some(addr) = listen {
-        let listener = bind_reported("ndjson", addr)?;
-        event_loop = attach(event_loop.with_ndjson_listener(listener))?;
+        front_door = front_door.with_ndjson_listener(bind_reported("ndjson", addr)?);
     }
     if let Some(addr) = http {
-        let listener = bind_reported("http", addr)?;
-        event_loop = attach(event_loop.with_http_listener(listener))?;
+        front_door = front_door.with_http_listener(bind_reported("http", addr)?);
     }
-    let handle = event_loop.handle();
+    let handle = front_door.handle();
     std::thread::Builder::new()
         .name("clara-stdin-anchor".to_owned())
         .spawn(move || {
             // stdin is the process lifetime anchor: consume it to EOF, then
-            // ask the loop to drain and exit.
-            let mut sink = String::new();
-            let stdin = std::io::stdin();
-            loop {
-                sink.clear();
-                match stdin.read_line(&mut sink) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-            }
+            // ask the front door to drain and exit.
+            let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
             handle.request_shutdown();
         })
         .expect("spawning the stdin anchor");
-    eprintln!("(serving on the event loop; stdin EOF shuts down)");
-    if let Err(err) = event_loop.run() {
+    eprintln!("(serving over TCP; stdin EOF shuts down)");
+    if let Err(err) = front_door.run() {
         eprintln!("serve error: {err}");
         return Err(ExitCode::FAILURE);
     }
@@ -487,8 +464,8 @@ fn serve_router(options: &ServeOptions) -> ExitCode {
         },
     ));
     eprintln!("(router over {} shard(s): {})", options.shards.len(), options.shards.join(", "));
-    let outcome = run_event_loop(
-        Backend::router(Arc::clone(&router)),
+    let outcome = run_front_door(
+        Backend::Router(Arc::clone(&router)),
         options.listen.as_deref(),
         options.http.as_deref(),
         options.faults,
@@ -611,33 +588,30 @@ fn serve(args: &[String]) -> ExitCode {
     if let Some(queue) = options.queue {
         server_config.queue_capacity = queue;
     }
-    let mut server = Server::new(Arc::clone(&service), server_config);
+    let server = Arc::new(Server::new(Arc::clone(&service), server_config));
 
     if options.listen.is_some() || options.http.is_some() {
-        // Fleet mode: all traffic over TCP through the poll(2) event loop;
-        // stdin only anchors the process lifetime.
-        let server = Arc::new(server);
-        let outcome = run_event_loop(
-            Backend::local(Arc::clone(&server)),
+        // Fleet mode: all traffic over TCP; stdin only anchors the process
+        // lifetime.
+        let outcome = run_front_door(
+            Backend::Local(Arc::clone(&server)),
             options.listen.as_deref(),
             options.http.as_deref(),
             options.faults,
         );
-        // The loop has exited and dropped its backend; joining the workers
-        // (pool drop) guarantees in-flight learns reach the index before we
-        // persist it below.
-        drop(server);
         if let Err(code) = outcome {
             return code;
         }
     } else {
         eprintln!("(serving NDJSON on stdin/stdout; EOF shuts down)");
         let stdin = std::io::stdin();
-        if let Err(err) = run_ndjson(&mut server, stdin.lock(), std::io::stdout()) {
+        if let Err(err) = run_ndjson(Arc::clone(&server), stdin.lock(), std::io::stdout()) {
             eprintln!("serve error: {err}");
             return ExitCode::FAILURE;
         }
     }
+    // Both front ends return only once every request has been answered,
+    // so every learn has reached the index before it is persisted below.
     let stats = service.stats();
     // Persist what was learned online, so the next warm start sees it.
     if let Some(dir) = options.index_dir.as_deref() {
