@@ -13,14 +13,22 @@
 //! ([`DIVERGING_ATTEMPT`]): both run out of fuel, so the figures are pure
 //! per-step cost. Their ratio does not depend on how fast the host is; CI
 //! caps it (`ci/throughput_baseline.json`).
+//!
+//! It prices the ILP the same way: the ILP-stage time of one repair of the
+//! fixed `rhombus` attempt [`RHOMBUS_ATTEMPT`], whose ILP is the largest of
+//! the bundled corpus, divided by the interpreter's cost per step. CI caps
+//! that ratio too.
 
 #![forbid(unsafe_code)]
 
 use std::time::Instant;
 
 use clara_bench::{emit_json_report, run_clara, RunMode};
-use clara_core::AnalyzedProgram;
+use clara_core::timing::{self, Stage};
+use clara_core::{AnalyzedProgram, Clara, ClaraConfig};
 use clara_corpus::mooc::{all_mooc_problems, derivatives};
+use clara_corpus::study::rhombus;
+use clara_corpus::{generate_dataset_for, DatasetConfig};
 use clara_lang::{parse_program, run_function, InterpError, Limits};
 use clara_model::{lower_entry, Fuel};
 use serde::Serialize;
@@ -36,7 +44,24 @@ def computeDeriv(poly):
     return result
 ";
 
-/// Timing repetitions of the step-cost probe; the fastest one is reported.
+/// A `rhombus` attempt that prints `mid` instead of the row. Against the
+/// clusters of the default `rhombus` dataset its repair costs 1, and its ILP
+/// has about 1,720 variables and 4,850 constraints.
+const RHOMBUS_ATTEMPT: &str = "\
+def rhombus(h):
+    mid = (h + 1) // 2
+    for r in range(1, h + 1):
+        d = mid - r
+        if d < 0:
+            d = -d
+        line = ' ' * d
+        for c in range(d + 1, h - d + 1):
+            line = line + str(c % 10)
+        print(mid)
+";
+
+/// Timing repetitions of the step-cost and ILP probes; the fastest one is
+/// reported.
 const STEP_COST_REPS: usize = 5;
 
 #[derive(Serialize)]
@@ -67,6 +92,11 @@ struct ThroughputReport {
     interpreter_ns_per_step: f64,
     /// `analysis_ns_per_step / interpreter_ns_per_step`.
     analysis_interpreter_ratio: f64,
+    /// Nanoseconds of the ILP stage (encoding and solving, every cluster)
+    /// in one repair of [`RHOMBUS_ATTEMPT`].
+    rhombus_ilp_ns: f64,
+    /// `rhombus_ilp_ns / interpreter_ns_per_step`.
+    ilp_interpreter_ratio: f64,
     problems: Vec<ProblemThroughput>,
 }
 
@@ -102,6 +132,27 @@ fn step_costs() -> (f64, f64) {
         steps.sum()
     });
     (analysis, interpreter)
+}
+
+/// Nanoseconds of [`Stage::Ilp`] in one sequential repair of
+/// [`RHOMBUS_ATTEMPT`] against the default `rhombus` dataset's clusters,
+/// fastest of [`STEP_COST_REPS`].
+fn rhombus_ilp_ns() -> f64 {
+    let problem = rhombus();
+    let mut config = ClaraConfig::default();
+    config.repair.parallel = false;
+    let mut engine = Clara::new_in(problem.lang, problem.entry, problem.inputs(), config);
+    for solution in generate_dataset_for(&problem, DatasetConfig::default()).correct {
+        engine.add_correct_solution(&solution.source).expect("correct rhombus solutions analyse");
+    }
+    (0..STEP_COST_REPS)
+        .map(|_| {
+            let (outcome, spans) = timing::collect(|| engine.repair_source(RHOMBUS_ATTEMPT));
+            let cost = outcome.expect("the rhombus attempt analyses").result.best.map(|r| r.total_cost);
+            assert_eq!(cost, Some(1), "the rhombus attempt must stay a cost-1 repair");
+            spans.iter().filter(|span| span.stage == Stage::Ilp).map(|span| span.nanos as f64).sum::<f64>()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn per_sec(count: usize, seconds: f64) -> f64 {
@@ -158,6 +209,7 @@ fn main() {
     }
 
     let (analysis_ns_per_step, interpreter_ns_per_step) = step_costs();
+    let rhombus_ilp_ns = rhombus_ilp_ns();
     let report = ThroughputReport {
         corpus: mode.corpus_label(scale),
         attempts,
@@ -168,6 +220,8 @@ fn main() {
         analysis_ns_per_step,
         interpreter_ns_per_step,
         analysis_interpreter_ratio: analysis_ns_per_step / interpreter_ns_per_step,
+        rhombus_ilp_ns,
+        ilp_interpreter_ratio: rhombus_ilp_ns / interpreter_ns_per_step,
         problems,
     };
     println!(
@@ -184,6 +238,11 @@ fn main() {
     println!(
         "Per-step cost on a diverging attempt: analysis {:.0} ns, interpreter {:.0} ns (ratio {:.2})",
         report.analysis_ns_per_step, report.interpreter_ns_per_step, report.analysis_interpreter_ratio,
+    );
+    println!(
+        "ILP stage of the fixed rhombus repair: {:.2} ms ({:.0} interpreter steps)",
+        report.rhombus_ilp_ns / 1e6,
+        report.ilp_interpreter_ratio,
     );
     println!();
     println!("The paper reports ~3s median repair time per attempt (§6.2); this bench tracks");

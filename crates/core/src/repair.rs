@@ -8,12 +8,17 @@
 //!    matches a representative expression under a partial variable relation
 //!    (`(ω, •)`), or a cluster expression translated to implementation
 //!    variables replaces it (`(ω⁻¹, ω(e))`);
-//! 2. selects a consistent, minimal-cost subset of local repairs by encoding
-//!    constraints (1)–(4) of Definition 5.5 as a 0-1 ILP and solving it with
-//!    `clara-ilp`;
-//! 3. decodes the solution into concrete [`RepairAction`]s, builds the
-//!    repaired program, and (optionally) verifies the soundness theorem
+//! 2. encodes the choice of a consistent, minimal-cost subset of local
+//!    repairs as a 0-1 ILP over constraints (1)–(4) of Definition 5.5 and
+//!    finds its optimum, the repair's cost, with `clara-ilp`'s `minimum`;
+//! 3. for the cheapest cluster only, finds the optimal assignment with the
+//!    ILP's exact search, decodes it into concrete [`RepairAction`]s, builds
+//!    the repaired program, and (optionally) verifies the soundness theorem
 //!    `P_C ∼_I P_repaired` (Theorem 5.3) by re-running the matcher.
+//!
+//! Among several optimal assignments the exact search returns the first in
+//! `clara-ilp`'s canonical order, and the feedback depends on which one it
+//! is, so step 3 must not take its assignment from `minimum`'s search.
 //!
 //! Variable addition and deletion (the `⋆` / `−` extension of §5) is
 //! supported: every cluster variable may map to a fresh implementation
@@ -22,9 +27,10 @@
 //! with matching control flow.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use clara_ilp::{IlpBuilder, SolveLimits, VarId};
+use clara_ilp::{BudgetExhausted, IlpBuilder, Solution, SolveLimits, VarId};
 use clara_lang::{Expr, Value};
 use clara_model::{Fuel, Loc, Program};
 use clara_ted::{expr_tree_size, prepared_edit_distance, PreparedTree};
@@ -392,7 +398,10 @@ pub fn repair_attempt_retrieved(
     let mut examined = scanned.len();
     let mut budget_exhausted = false;
     let mut best = cheapest(
-        run_candidates(scanned, attempt, inputs, &cluster_config, config.parallel),
+        run_candidates(scanned, attempt, &cluster_config, config.parallel),
+        attempt,
+        inputs,
+        &cluster_config,
         &mut budget_exhausted,
     );
     if best.is_none() {
@@ -442,7 +451,10 @@ pub fn repair_attempt_retrieved(
                 let batch = &queue[offset..(offset + tier).min(queue.len())];
                 examined += batch.len();
                 best = cheapest(
-                    run_candidates(batch, attempt, inputs, &cluster_config, config.parallel),
+                    run_candidates(batch, attempt, &cluster_config, config.parallel),
+                    attempt,
+                    inputs,
+                    &cluster_config,
                     &mut budget_exhausted,
                 );
                 offset += batch.len();
@@ -476,68 +488,94 @@ pub fn repair_attempt_retrieved(
     }
 }
 
-/// The minimal-cost repair among per-cluster results (ties go to the lower
-/// cluster index); sets `budget_exhausted` when any cluster ran the ILP
-/// solver out of budget.
+/// The minimal-cost repair among staged clusters: the winner by
+/// `(cost, cluster index)` runs the exact search and is decoded. Should that
+/// search run out of nodes, the next staged cluster in the same order wins.
+/// Sets `budget_exhausted` when any cluster ran the ILP solver out of
+/// budget.
 fn cheapest(
-    results: Vec<Result<ClusterRepair, RepairFailure>>,
+    staged: Vec<Result<StagedRepair<'_>, RepairFailure>>,
+    attempt: &AnalyzedProgram,
+    inputs: &[Vec<Value>],
+    cluster_config: &RepairConfig,
     budget_exhausted: &mut bool,
 ) -> Option<ClusterRepair> {
-    results
+    let mut staged: Vec<StagedRepair<'_>> = staged
         .into_iter()
         .filter_map(|result| {
             result
                 .map_err(|failure| *budget_exhausted |= failure == RepairFailure::SolverBudgetExhausted)
                 .ok()
         })
-        .min_by_key(|r| (r.total_cost, r.cluster_index))
+        .collect();
+    staged.sort_by_key(|s| (s.cost, s.cluster_index));
+    for winner in staged {
+        match finish_repair(winner, attempt, inputs, cluster_config) {
+            Ok(repair) => return Some(repair),
+            Err(failure) => *budget_exhausted |= failure == RepairFailure::SolverBudgetExhausted,
+        }
+    }
+    None
 }
 
-/// Runs the per-cluster repair over `candidates`, on multiple threads when
-/// `parallel` and the pool is big enough.
-fn run_candidates(
-    candidates: &[(usize, &Cluster)],
+/// Stages every candidate cluster (local repairs, ILP, optimum; see
+/// [`stage_cluster`]) and returns the results in candidate order. When
+/// `parallel`, `available_parallelism - 1` helper threads and the calling
+/// thread claim candidates in rank order from a shared counter. Each
+/// candidate's stage spans are adopted into the caller's collector in
+/// candidate order, so neither the results nor the span list depend on
+/// which thread staged what.
+fn run_candidates<'c>(
+    candidates: &[(usize, &'c Cluster)],
     attempt: &AnalyzedProgram,
-    inputs: &[Vec<Value>],
     cluster_config: &RepairConfig,
     parallel: bool,
-) -> Vec<Result<ClusterRepair, RepairFailure>> {
-    if parallel && candidates.len() > 1 {
+) -> Vec<Result<StagedRepair<'c>, RepairFailure>> {
+    let stage =
+        |&(index, cluster): &(usize, &'c Cluster)| stage_cluster(cluster, index, attempt, cluster_config);
+    let helpers = if parallel {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        let chunk_size = candidates.len().div_ceil(threads);
-        let mut results: Vec<Result<ClusterRepair, RepairFailure>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        // Stage timers record to a thread-local collector;
-                        // capture this worker's spans so the parent can
-                        // adopt them into the request's span tree.
-                        crate::timing::collect(|| {
-                            chunk
-                                .iter()
-                                .map(|(index, cluster)| {
-                                    repair_against_cluster(cluster, *index, attempt, inputs, cluster_config)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (chunk_results, spans) = handle.join().expect("repair worker panicked");
-                crate::timing::adopt(spans);
-                results.extend(chunk_results);
-            }
-        });
-        results
+        (threads - 1).min(candidates.len().saturating_sub(1))
     } else {
-        candidates
-            .iter()
-            .map(|(index, cluster)| repair_against_cluster(cluster, *index, attempt, inputs, cluster_config))
-            .collect()
+        0
+    };
+    if helpers == 0 {
+        return candidates.iter().map(stage).collect();
     }
+    // The counter only hands out distinct indices; the results travel back
+    // through `join`, so it publishes nothing and `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut staged = Vec::new();
+        loop {
+            let position = next.fetch_add(1, Ordering::Relaxed);
+            let Some(candidate) = candidates.get(position) else { return staged };
+            // Stage timers record to a thread-local collector; keep each
+            // candidate's spans with its result.
+            staged.push((position, crate::timing::collect(|| stage(candidate))));
+        }
+    };
+    let mut slots: Vec<Option<_>> = (0..candidates.len()).map(|_| None).collect();
+    let mut place = |staged: Vec<(usize, _)>| {
+        for (position, result) in staged {
+            slots[position] = Some(result);
+        }
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(claim)).collect();
+        place(claim());
+        for handle in handles {
+            place(handle.join().expect("repair worker panicked"));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            let (result, spans) = slot.expect("every candidate is claimed once");
+            crate::timing::adopt(spans);
+            result
+        })
+        .collect()
 }
 
 /// Removes strictly dominated local repairs: two candidates for the same
@@ -813,7 +851,9 @@ pub fn fresh_name(rep_var: &str, taken: &[String]) -> String {
     }
 }
 
-/// Runs the repair algorithm of Fig. 5 against a single cluster.
+/// Runs the repair algorithm of Fig. 5 against a single cluster: stages it
+/// (local repairs, the ILP and its optimum), then runs the ILP's exact
+/// search and decodes the repair.
 ///
 /// # Errors
 ///
@@ -829,6 +869,41 @@ pub fn repair_against_cluster(
     inputs: &[Vec<Value>],
     config: &RepairConfig,
 ) -> Result<ClusterRepair, RepairFailure> {
+    finish_repair(stage_cluster(cluster, cluster_index, attempt, config)?, attempt, inputs, config)
+}
+
+/// One cluster's repair problem once the cost of its minimal repair is
+/// known: the local repairs, their ILP, and what decoding a solution needs.
+struct StagedRepair<'c> {
+    cluster: &'c Cluster,
+    cluster_index: usize,
+    /// The ILP optimum: the cost of the minimal repair.
+    cost: i64,
+    /// The optimal assignment, when it is already known: after
+    /// [`IlpBuilder::minimum`] ran out of nodes, the exact search ran
+    /// without the optimum instead.
+    solution: Option<Solution>,
+    ilp: IlpBuilder,
+    candidates: Vec<CandidateRepair>,
+    /// The ILP variable selecting each candidate.
+    repair_ids: Vec<VarId>,
+    /// `(representative, implementation)` variable pair → its ILP variable.
+    pair_vars: HashMap<(String, String), VarId>,
+    /// Representative variable → the ILP variable adding it.
+    add_vars: HashMap<String, VarId>,
+    /// Implementation variable → the ILP variable deleting it.
+    del_vars: HashMap<String, VarId>,
+    fresh_names: HashMap<String, String>,
+}
+
+/// Generates the local repairs of `attempt` against `cluster`, encodes them
+/// as an ILP and finds its optimum (steps 1 and 2 of the module docs).
+fn stage_cluster<'c>(
+    cluster: &'c Cluster,
+    cluster_index: usize,
+    attempt: &AnalyzedProgram,
+    config: &RepairConfig,
+) -> Result<StagedRepair<'c>, RepairFailure> {
     let rep = &cluster.representative;
     if !rep.program.same_control_flow(&attempt.program) {
         return Err(RepairFailure::NoMatchingControlFlow);
@@ -993,8 +1068,9 @@ pub fn repair_against_cluster(
     // ------------------------------------------------------------------
     // Step 2: encode constraints (1)–(4) of Definition 5.5 as a 0-1 ILP.
     // ------------------------------------------------------------------
-    // The ILP stage covers encoding and solving; the guard drops right
-    // after the solver returns (or on an early bail-out).
+    // This ILP span covers encoding and `minimum`; the guard drops right
+    // after the optimum is known (or on an early bail-out). The winner's
+    // exact search is a second ILP span, in `finish_repair`.
     let ilp_timer = crate::timing::StageTimer::start(crate::timing::Stage::Ilp);
     let mut ilp = IlpBuilder::new();
     let mut pair_vars: HashMap<(String, String), VarId> = HashMap::new(); // (rep, impl)
@@ -1088,14 +1164,74 @@ pub fn repair_against_cluster(
         }
     }
 
-    // ------------------------------------------------------------------
-    // Step 3: solve and decode.
-    // ------------------------------------------------------------------
-    let solution = ilp
-        .solve_with_limits(config.ilp_limits)
-        .map_err(|_| RepairFailure::SolverBudgetExhausted)?
-        .ok_or(RepairFailure::NoFeasibleRepair)?;
+    // Only the optimum here: the exact search, which also fixes which
+    // optimal repair comes back, runs for the winning cluster alone.
+    let (cost, solution) = match ilp.minimum(config.ilp_limits) {
+        Ok(None) => return Err(RepairFailure::NoFeasibleRepair),
+        Ok(Some(cost)) => (cost, None),
+        Err(BudgetExhausted) => {
+            let solution = ilp
+                .exact_search(None, config.ilp_limits)
+                .map_err(|_| RepairFailure::SolverBudgetExhausted)?
+                .ok_or(RepairFailure::NoFeasibleRepair)?;
+            (solution.objective, Some(solution))
+        }
+    };
     drop(ilp_timer);
+    Ok(StagedRepair {
+        cluster,
+        cluster_index,
+        cost,
+        solution,
+        ilp,
+        candidates,
+        repair_ids,
+        pair_vars,
+        add_vars,
+        del_vars,
+        fresh_names,
+    })
+}
+
+/// Finds the staged cluster's optimal assignment (step 3 of the module
+/// docs) and decodes it into its repair, verifying the repair when
+/// [`RepairConfig::verify`] is on.
+///
+/// # Errors
+///
+/// Returns [`RepairFailure::SolverBudgetExhausted`] when the exact search
+/// runs out of nodes.
+fn finish_repair(
+    staged: StagedRepair<'_>,
+    attempt: &AnalyzedProgram,
+    inputs: &[Vec<Value>],
+    config: &RepairConfig,
+) -> Result<ClusterRepair, RepairFailure> {
+    let StagedRepair {
+        cluster,
+        cluster_index,
+        cost,
+        solution,
+        ilp,
+        candidates,
+        repair_ids,
+        pair_vars,
+        add_vars,
+        del_vars,
+        fresh_names,
+    } = staged;
+    let solution = match solution {
+        Some(solution) => solution,
+        None => {
+            let _timer = crate::timing::StageTimer::start(crate::timing::Stage::Ilp);
+            ilp.exact_search(Some(cost), config.ilp_limits)
+                .map_err(|_| RepairFailure::SolverBudgetExhausted)?
+                .expect("the exact search reaches the optimum `minimum` found")
+        }
+    };
+    let rep = &cluster.representative;
+    let rep_vars = &rep.program.vars;
+    let impl_vars = &attempt.program.vars;
 
     let mut var_map = VarMap::new();
     for ((v1, v2), id) in &pair_vars {
