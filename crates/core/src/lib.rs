@@ -181,6 +181,18 @@ impl Clara {
     pub fn add_correct_parsed(&mut self, parsed: &dyn ParsedSubmission) -> Result<usize, AnalysisError> {
         let analyzed =
             AnalyzedProgram::from_parsed(parsed, &self.entry, &self.inputs, self.config.repair.fuel)?;
+        Ok(self.add_correct_analyzed(analyzed, parsed))
+    }
+
+    /// Adds a correct solution the caller has already analysed (against
+    /// this engine's entry, [`Clara::inputs`] and [`Clara::fuel`]), so it
+    /// can inspect the model before committing to the insertion. `parsed`
+    /// is the parse `analyzed` came from; it yields the surface IR.
+    pub fn add_correct_analyzed(
+        &mut self,
+        analyzed: AnalyzedProgram,
+        parsed: &dyn ParsedSubmission,
+    ) -> usize {
         // Best-effort surface IR for the structural retrieval signal; the
         // behaviour signal alone still indexes the cluster if lowering to
         // surface form fails.
@@ -205,7 +217,7 @@ impl Clara {
         });
         self.index.record(index, &signals);
         self.compact_after_insert(index);
-        Ok(index)
+        index
     }
 
     /// Applies the compaction budget after an insertion into cluster

@@ -1080,19 +1080,19 @@ fn stage_cluster<'c>(
     for v1 in &rep_vars {
         for v2 in &impl_vars {
             if compat.compatible(v2, v1) {
-                let id = ilp.add_var(format!("pair:{v1}={v2}"), 0);
+                let id = ilp.add_var(0);
                 pair_vars.insert((v1.clone(), v2.clone()), id);
             }
         }
         if compat.can_add(v1) {
             let cost = add_cost(&rep.program, cluster, v1);
-            add_vars.insert(v1.clone(), ilp.add_var(format!("add:{v1}"), cost));
+            add_vars.insert(v1.clone(), ilp.add_var(cost));
         }
     }
     for v2 in &impl_vars {
         if compat.can_delete(v2) {
             let cost = delete_cost(&attempt.program, v2);
-            del_vars.insert(v2.clone(), ilp.add_var(format!("del:{v2}"), cost));
+            del_vars.insert(v2.clone(), ilp.add_var(cost));
         }
     }
 
@@ -1118,11 +1118,7 @@ fn stage_cluster<'c>(
     }
 
     // Local-repair selection variables.
-    let repair_ids: Vec<VarId> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| ilp.add_var(format!("lr:{i}:{}@{}", c.var, c.loc), c.cost))
-        .collect();
+    let repair_ids: Vec<VarId> = candidates.iter().map(|c| ilp.add_var(c.cost)).collect();
 
     // Constraint (3): exactly one local repair per (ℓ, v₂) — or the variable
     // is deleted.

@@ -54,8 +54,8 @@
 //!
 //! // minimise 3a + b subject to a + b = 1
 //! let mut ilp = IlpBuilder::new();
-//! let a = ilp.add_var("a", 3);
-//! let b = ilp.add_var("b", 1);
+//! let a = ilp.add_var(3);
+//! let b = ilp.add_var(1);
 //! ilp.add_constraint(vec![(a, 1), (b, 1)], Cmp::Eq, 1);
 //! let solution = ilp.solve().expect("feasible");
 //! assert!(!solution.value(a) && solution.value(b));
@@ -150,7 +150,6 @@ impl std::error::Error for BudgetExhausted {}
 /// Builder for (and solver of) a 0-1 ILP minimisation problem.
 #[derive(Debug, Clone, Default)]
 pub struct IlpBuilder {
-    names: Vec<String>,
     weights: Vec<i64>,
     constraints: Vec<Constraint>,
 }
@@ -162,26 +161,20 @@ impl IlpBuilder {
     }
 
     /// Adds a 0-1 variable with the given objective weight (to be minimised)
-    /// and returns its identifier. The name is only used for debugging.
-    pub fn add_var(&mut self, name: impl Into<String>, weight: i64) -> VarId {
-        self.names.push(name.into());
+    /// and returns its identifier.
+    pub fn add_var(&mut self, weight: i64) -> VarId {
         self.weights.push(weight);
-        VarId(self.names.len() - 1)
+        VarId(self.weights.len() - 1)
     }
 
     /// Number of variables added so far.
     pub fn var_count(&self) -> usize {
-        self.names.len()
+        self.weights.len()
     }
 
     /// Number of constraints added so far.
     pub fn constraint_count(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// The debug name of a variable.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.names[var.0]
     }
 
     /// Adds the constraint `Σ coeff·var cmp rhs`.
@@ -698,8 +691,8 @@ mod tests {
     #[test]
     fn picks_the_cheaper_of_two() {
         let mut ilp = IlpBuilder::new();
-        let a = ilp.add_var("a", 3);
-        let b = ilp.add_var("b", 1);
+        let a = ilp.add_var(3);
+        let b = ilp.add_var(1);
         ilp.add_exactly_one(&[a, b]);
         let sol = ilp.solve().unwrap();
         assert!(sol.value(b));
@@ -710,7 +703,7 @@ mod tests {
     #[test]
     fn infeasible_problem_returns_none() {
         let mut ilp = IlpBuilder::new();
-        let a = ilp.add_var("a", 1);
+        let a = ilp.add_var(1);
         ilp.add_constraint(vec![(a, 1)], Cmp::Eq, 2);
         assert!(ilp.solve().is_none());
     }
@@ -718,9 +711,9 @@ mod tests {
     #[test]
     fn implication_forces_consequent() {
         let mut ilp = IlpBuilder::new();
-        let r = ilp.add_var("r", 0);
-        let p = ilp.add_var("p", 5);
-        let q = ilp.add_var("q", 1);
+        let r = ilp.add_var(0);
+        let p = ilp.add_var(5);
+        let q = ilp.add_var(1);
         ilp.add_exactly_one(&[r]);
         ilp.add_implication(r, p);
         // q is free; minimisation should leave it 0, but p is forced by r.
@@ -741,7 +734,7 @@ mod tests {
         let mut vars = [[VarId(0); 3]; 3];
         for (i, row) in costs.iter().enumerate() {
             for (j, &c) in row.iter().enumerate() {
-                vars[i][j] = ilp.add_var(format!("x{i}{j}"), c);
+                vars[i][j] = ilp.add_var(c);
             }
         }
         for (i, row) in vars.iter().enumerate() {
@@ -762,9 +755,9 @@ mod tests {
         // Minimal set cover: elements {1,2,3}, sets A={1,2} cost 3, B={2,3}
         // cost 3, C={1,2,3} cost 5.
         let mut ilp = IlpBuilder::new();
-        let a = ilp.add_var("A", 3);
-        let b = ilp.add_var("B", 3);
-        let c = ilp.add_var("C", 5);
+        let a = ilp.add_var(3);
+        let b = ilp.add_var(3);
+        let c = ilp.add_var(5);
         ilp.add_constraint(vec![(a, 1), (c, 1)], Cmp::Ge, 1); // element 1
         ilp.add_constraint(vec![(a, 1), (b, 1), (c, 1)], Cmp::Ge, 1); // element 2
         ilp.add_constraint(vec![(b, 1), (c, 1)], Cmp::Ge, 1); // element 3
@@ -776,8 +769,8 @@ mod tests {
     #[test]
     fn negative_weights_are_taken() {
         let mut ilp = IlpBuilder::new();
-        let a = ilp.add_var("a", -2);
-        let b = ilp.add_var("b", 4);
+        let a = ilp.add_var(-2);
+        let b = ilp.add_var(4);
         let sol = ilp.solve().unwrap();
         assert!(sol.value(a));
         assert!(!sol.value(b));
@@ -795,7 +788,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_reported() {
         let mut ilp = IlpBuilder::new();
-        let vars: Vec<VarId> = (0..30).map(|i| ilp.add_var(format!("x{i}"), 1)).collect();
+        let vars: Vec<VarId> = (0..30).map(|_| ilp.add_var(1)).collect();
         for chunk in vars.chunks(3) {
             ilp.add_exactly_one(chunk);
         }
@@ -808,10 +801,10 @@ mod tests {
     /// constraints.
     fn two_equal_optima() -> (IlpBuilder, [VarId; 4]) {
         let mut ilp = IlpBuilder::new();
-        let p1 = ilp.add_var("pair:1", 0);
-        let p2 = ilp.add_var("pair:2", 0);
-        let r1 = ilp.add_var("lr:1", 3);
-        let r2 = ilp.add_var("lr:2", 3);
+        let p1 = ilp.add_var(0);
+        let p2 = ilp.add_var(0);
+        let r1 = ilp.add_var(3);
+        let r2 = ilp.add_var(3);
         ilp.add_exactly_one(&[p1, p2]);
         ilp.add_exactly_one(&[r1, r2]);
         ilp.add_implication(r1, p1);
@@ -842,9 +835,8 @@ mod tests {
     fn a_budget_the_reference_meets_is_enough() {
         // A 6×6 assignment problem full of equal-cost optima.
         let mut ilp = IlpBuilder::new();
-        let vars: Vec<Vec<VarId>> = (0..6)
-            .map(|i| (0..6).map(|j| ilp.add_var(format!("x{i}{j}"), (i * j % 3) as i64)).collect())
-            .collect();
+        let vars: Vec<Vec<VarId>> =
+            (0..6).map(|i| (0..6).map(|j| ilp.add_var((i * j % 3) as i64)).collect()).collect();
         for (i, row) in vars.iter().enumerate() {
             ilp.add_exactly_one(row);
             let column: Vec<VarId> = vars.iter().map(|r| r[i]).collect();
@@ -909,8 +901,8 @@ mod tests {
                 );
                 (weights, constraints).prop_map(|(weights, constraints)| {
                     let mut ilp = IlpBuilder::new();
-                    for (i, w) in weights.iter().enumerate() {
-                        ilp.add_var(format!("x{i}"), *w);
+                    for w in &weights {
+                        ilp.add_var(*w);
                     }
                     for (terms, cmp, rhs) in constraints {
                         let terms: Vec<(VarId, i64)> =
@@ -935,8 +927,8 @@ mod tests {
                     (weights, rows, implications, at_least).prop_map(
                         |(weights, rows, implications, at_least)| {
                             let mut ilp = IlpBuilder::new();
-                            for (i, w) in weights.iter().enumerate() {
-                                ilp.add_var(format!("x{i}"), *w);
+                            for w in &weights {
+                                ilp.add_var(*w);
                             }
                             for mut row in rows {
                                 row.sort_unstable();

@@ -17,7 +17,7 @@ pub(crate) fn solve(
 ) -> (Result<Option<Solution>, BudgetExhausted>, u64) {
     // Var → constraints index so propagation only revisits constraints
     // whose support actually changed.
-    let mut constraints_of: Vec<Vec<usize>> = vec![Vec::new(); problem.names.len()];
+    let mut constraints_of: Vec<Vec<usize>> = vec![Vec::new(); problem.var_count()];
     for (ci, constraint) in problem.constraints.iter().enumerate() {
         for &(var, _) in &constraint.terms {
             if !constraints_of[var.0].contains(&ci) {
@@ -28,7 +28,7 @@ pub(crate) fn solve(
     let mut solver = Solver {
         problem,
         constraints_of,
-        assignment: vec![None; problem.names.len()],
+        assignment: vec![None; problem.var_count()],
         in_queue: vec![false; problem.constraints.len()],
         best: None,
         nodes: 0,

@@ -79,6 +79,31 @@ impl Serialize for Expr {
     }
 }
 
+impl Expr {
+    /// How many JSON arrays deep the serialized expression nests, its own
+    /// array included: `x` is 1, `x + 1` is 2, and `f(x)` is 3 because a
+    /// call's (or list's, tuple's or method's) items sit in an array of
+    /// their own. The JSON parser refuses input nested deeper than
+    /// `serde_json::RECURSION_LIMIT`, so whoever stores expressions inside
+    /// other JSON must keep this within what is left of that limit.
+    pub fn json_depth(&self) -> usize {
+        let items = |items: &[Expr]| 1 + items.iter().map(Expr::json_depth).max().unwrap_or(0);
+        1 + match self {
+            Expr::Lit(_) | Expr::Var(_) => 0,
+            Expr::List(elements) | Expr::Tuple(elements) | Expr::Call(_, elements) => items(elements),
+            Expr::Unary(_, inner) => inner.json_depth(),
+            Expr::Binary(_, lhs, rhs) | Expr::Index(lhs, rhs) => lhs.json_depth().max(rhs.json_depth()),
+            Expr::Slice(base, lo, hi) => [Some(base), lo.as_ref(), hi.as_ref()]
+                .into_iter()
+                .flatten()
+                .map(|e| e.json_depth())
+                .max()
+                .unwrap_or(0),
+            Expr::Method(receiver, _, args) => receiver.json_depth().max(items(args)),
+        }
+    }
+}
+
 fn expect_arity(items: &[Content], arity: usize, tag: &str) -> Result<(), DeError> {
     if items.len() == arity + 1 {
         Ok(())
@@ -226,6 +251,56 @@ mod tests {
         for bad in ["[]", "[\"nope\"]", "[\"bin\", \"@\", [\"int\", 1], [\"int\", 2]]", "42", "[\"var\"]"] {
             assert!(serde_json::from_str::<Expr>(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    /// The deepest array nesting of a JSON text (strings hold no brackets
+    /// in these tests).
+    fn nesting(json: &str) -> usize {
+        let (mut depth, mut deepest) = (0usize, 0usize);
+        for byte in json.bytes() {
+            match byte {
+                b'[' | b'{' => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                b']' | b'}' => depth -= 1,
+                _ => {}
+            }
+        }
+        deepest
+    }
+
+    #[test]
+    fn json_depth_is_the_serialized_nesting() {
+        for source in [
+            "x",
+            "x + 1",
+            "f(x)",
+            "f()",
+            "[]",
+            "[x, [y]]",
+            "-(a + b)",
+            "xs[1:len(xs)-1]",
+            "xs[:3]",
+            "result.append(float(poly[e]*e))",
+            "(a, b) == (1, 'two', None, True)",
+        ] {
+            let expr = parse_expression(source).expect(source);
+            let json = serde_json::to_string(&expr).unwrap();
+            assert_eq!(expr.json_depth(), nesting(&json), "{source}: {json}");
+        }
+    }
+
+    #[test]
+    fn json_depth_predicts_the_parser_nesting_limit() {
+        let nested = |depth: usize| {
+            (1..depth).fold(Expr::int(0), |inner, _| Expr::bin(BinOp::Add, Expr::int(0), inner))
+        };
+        let fits = nested(serde_json::RECURSION_LIMIT);
+        assert_eq!(fits.json_depth(), serde_json::RECURSION_LIMIT);
+        assert_eq!(roundtrip(&fits), fits);
+        let too_deep = serde_json::to_string(&nested(serde_json::RECURSION_LIMIT + 1)).unwrap();
+        assert!(serde_json::from_str::<Expr>(&too_deep).is_err());
     }
 
     #[test]

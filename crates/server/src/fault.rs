@@ -13,7 +13,7 @@
 //! * `close` — slam the connection shut, exercising reconnect paths,
 //! * `garble` — answer with a non-JSON line, exercising parse-failure
 //!   handling in routers and clients,
-//! * `delay` — park the request for `delay_ms` before processing,
+//! * `delay` — hold the request back `delay_ms` before processing,
 //!   exercising deadline propagation; later requests on the same
 //!   connection are not held up.
 //!

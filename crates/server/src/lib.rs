@@ -16,15 +16,15 @@
 //!   serving an `Arc` snapshot of its store behind a std `RwLock`, behind
 //!   the shared cache;
 //! * [`pool`] / [`serve`] — a panic-isolated **worker pool** over
-//!   `std::thread` with bounded per-worker queues, and the [`Server`] that
-//!   runs the service on it;
+//!   `std::thread` draining one bounded queue, and the [`Server`] that runs
+//!   the service on it;
 //! * [`protocol`] — the **wire format**: one JSON request per NDJSON line
 //!   or HTTP body, one JSON response back;
 //! * [`net`] — the **front door**: NDJSON over TCP or stdin/stdout and
 //!   HTTP (`POST /repair`, `GET /health`, `/stats`, `/metrics`) on blocking
-//!   std sockets with one thread per connection, a 1 MiB input cap and a
-//!   bounded pending ring that sheds overload; `clara-cli serve` wires it
-//!   up;
+//!   std sockets with one thread per connection and a 1 MiB input cap,
+//!   shedding a request when the worker queue is full; `clara-cli serve`
+//!   wires it up;
 //! * [`shard`] / [`router`] / [`retry`] — the **fleet**: a consistent-hash
 //!   ring assigns each problem×language key to a shard process and its
 //!   replica, and a stateless [`Router`] forwards to them with retries,
@@ -92,7 +92,7 @@ pub use net::{run_ndjson, Backend, FrontDoor, ShutdownHandle};
 pub use obs::{
     mint_trace_id, render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, MetricsDump, Registry,
 };
-pub use pool::{PoolClosed, WorkerPool};
+pub use pool::{PoolClosed, TrySubmitError, WorkerPool};
 pub use protocol::{
     parse_incoming, parse_request, render_response, Incoming, Request, Response, StatsReport, Status,
 };

@@ -15,20 +15,20 @@
 //! * **HTTP** — `POST /repair`, `GET /health`, `GET /stats`,
 //!   `GET /metrics`. A connection's thread reads the head and body,
 //!   submits, waits for the reply, writes it and closes.
-//! * **Overload** — a request goes to the [`Backend`]'s worker pool without
-//!   blocking. When every worker queue is full it parks in a bounded
-//!   pending ring that one dispatcher thread drains with the pool's
-//!   blocking submit; past 256 parked requests it is shed with
-//!   an explicit `server overloaded` error so clients can back off.
+//! * **Overload** — a request goes straight into the [`Backend`]'s worker
+//!   queue without blocking. When that bounded queue is full the request is
+//!   shed with an explicit `server overloaded` error so clients can back
+//!   off. Under a chaos fault plan a delayed request sleeps on a thread of
+//!   its own; past 64 such threads a further delayed request is shed too.
 //!
 //! The [`Backend`] is either a local [`Server`] (a shard process) or a
 //! [`Router`] forwarding each request to the shard owning its
 //! problem×language key.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, Scope};
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use crate::fault::{FaultAction, FaultInjector, FaultPlan};
 use crate::obs::{render_prometheus, Registry};
-use crate::pool::PoolClosed;
+use crate::pool::TrySubmitError;
 use crate::protocol::{parse_incoming, parse_request, render_response, Incoming, Request, Response};
 use crate::router::Router;
 use crate::serve::Server;
@@ -44,10 +44,6 @@ use crate::serve::Server;
 /// Input cap: an NDJSON line, an HTTP request (head and body) or an
 /// announced HTTP body larger than this is rejected unparsed.
 const MAX_INPUT: usize = 1 << 20;
-
-/// Requests parked while every worker queue is full; past this the front
-/// door sheds with a `server overloaded` error.
-const MAX_PENDING: usize = 256;
 
 /// Live TCP connections; each further one is answered `server overloaded`
 /// and closed.
@@ -64,10 +60,10 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// that, and the deadline bounds what a peer that never stops sending costs.
 const DISCARD_GRACE: Duration = Duration::from_secs(2);
 
-/// Connection threads decode JSON, and nothing but the stack bounds how
-/// deep the decoder recurses: give them the 8 MiB of a main thread rather
-/// than the 2 MiB default.
-const CONN_STACK: usize = 8 << 20;
+/// Fault-delayed requests waiting at once across the front door, each on
+/// its own sleeping thread; each further one is answered `server
+/// overloaded`.
+const MAX_DELAYED: usize = 64;
 
 const OK: &str = "200 OK";
 const BAD_REQUEST: &str = "400 Bad Request";
@@ -89,24 +85,14 @@ pub enum Backend {
 type ReplyFn = Box<dyn FnOnce(String) + Send>;
 
 impl Backend {
-    /// Submits a request without blocking. `Ok(false)` means every queue is
-    /// full and `reply` was dropped unanswered.
-    fn try_submit(&self, request: Request, reply: ReplyFn) -> Result<bool, PoolClosed> {
+    /// Submits a request without blocking, or hands it back (`reply`
+    /// dropped unanswered) when the queue is full or closed.
+    fn try_submit(&self, request: Request, reply: ReplyFn) -> Result<(), TrySubmitError<Request>> {
         match self {
             Backend::Local(server) => {
                 server.try_submit(request, move |response| reply(render_response(&response)))
             }
             Backend::Router(router) => router.try_submit(request, reply),
-        }
-    }
-
-    /// Submits a request, blocking while every queue is full.
-    fn submit(&self, request: Request, reply: ReplyFn) -> Result<(), PoolClosed> {
-        match self {
-            Backend::Local(server) => {
-                server.submit(request, move |response| reply(render_response(&response)))
-            }
-            Backend::Router(router) => router.submit(request, reply),
         }
     }
 
@@ -150,7 +136,7 @@ impl Backend {
         }
     }
 
-    /// Records one request shed at the front door (pending ring full).
+    /// Records one request shed at the front door (worker queue full).
     fn note_shed(&self) {
         match self {
             Backend::Local(server) => server.note_shed(),
@@ -169,22 +155,12 @@ fn stats_error_line(id: u64, error: &impl std::fmt::Display) -> String {
 /// by NDJSON) and the payload.
 type Out = (&'static str, String);
 
-/// A request waiting for a worker: parked in the pending ring, or held
-/// back by an injected delay.
-struct Parked {
-    accepted: Instant,
-    request: Request,
-    out: Sender<Out>,
-}
-
-impl Parked {
-    /// Answers the request with an error instead of running it.
-    fn refuse(self, message: &str) {
-        let error = Response::error(self.request.id, message)
-            .with_elapsed(self.accepted.elapsed().as_micros() as u64)
-            .with_trace(self.request.trace);
-        let _ = self.out.send((UNAVAILABLE, render_response(&error)));
-    }
+/// Answers request `id`, accepted at `accepted`, with an error instead of
+/// running it.
+fn refuse(out: &Sender<Out>, id: u64, trace: Option<String>, accepted: Instant, message: &str) {
+    let error =
+        Response::error(id, message).with_elapsed(accepted.elapsed().as_micros() as u64).with_trace(trace);
+    let _ = out.send((UNAVAILABLE, render_response(&error)));
 }
 
 #[derive(Clone, Copy)]
@@ -199,10 +175,6 @@ struct State {
     /// reads.
     conns: HashMap<u64, TcpStream>,
     next_conn: u64,
-    /// Requests parked while every worker queue was full, in arrival order.
-    pending: VecDeque<Parked>,
-    /// Fault-delayed requests and the instant each is due.
-    delayed: Vec<(Instant, Parked)>,
 }
 
 /// Everything the threads of one front door share.
@@ -214,10 +186,11 @@ struct Shared {
     /// a connection registered under the lock either sees it or is seen by
     /// the shutdown sweep.
     stopping: AtomicBool,
+    /// Fault-delayed requests still sleeping, at most [`MAX_DELAYED`].
+    delayed: AtomicUsize,
     state: Mutex<State>,
-    /// Signalled on every change the dispatcher or [`FrontDoor::run`] waits
-    /// for: a parked or delayed request, a closed connection, shutdown.
-    changed: Condvar,
+    /// Signalled by shutdown, which [`FrontDoor::run`] waits for.
+    stopped: Condvar,
 }
 
 impl Shared {
@@ -226,15 +199,15 @@ impl Shared {
             backend,
             faults: faults.filter(|plan| !plan.is_noop()).map(|plan| Mutex::new(plan.injector())),
             stopping: AtomicBool::new(false),
+            delayed: AtomicUsize::new(0),
             state: Mutex::new(State::default()),
-            changed: Condvar::new(),
+            stopped: Condvar::new(),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
-        // Every update of the state is a single insert, remove, push or
-        // pop, so a thread that panicked while holding the lock left it
-        // consistent; losing requests would be worse.
+        // Every update of the state is a single insert or remove, so a
+        // thread that panicked while holding the lock left it consistent.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -250,7 +223,7 @@ impl Shared {
         for conn in state.conns.values() {
             let _ = conn.shutdown(Shutdown::Read);
         }
-        self.changed.notify_all();
+        self.stopped.notify_all();
     }
 
     /// Serves one accepted connection on its own thread, or answers
@@ -279,18 +252,15 @@ impl Shared {
             }
         };
         let Some(id) = registered else { return reject(&stream, proto) };
-        let spawned = thread::Builder::new()
-            .name("clara-conn".to_owned())
-            .stack_size(CONN_STACK)
-            .spawn_scoped(scope, move || {
-                match proto {
-                    Proto::Ndjson => {
-                        let _ = self.serve_ndjson(BufReader::new(&stream), &stream, Some(&stream));
-                    }
-                    Proto::Http => self.serve_http(&stream),
+        let spawned = thread::Builder::new().name("clara-conn".to_owned()).spawn_scoped(scope, move || {
+            match proto {
+                Proto::Ndjson => {
+                    let _ = self.serve_ndjson(BufReader::new(&stream), &stream, Some(&stream));
                 }
-                self.unregister(id);
-            });
+                Proto::Http => self.serve_http(&stream),
+            }
+            self.unregister(id);
+        });
         if spawned.is_err() {
             if let Some(handle) = self.unregister(id) {
                 reject(&handle, proto);
@@ -299,9 +269,7 @@ impl Shared {
     }
 
     fn unregister(&self, id: u64) -> Option<TcpStream> {
-        let handle = self.lock().conns.remove(&id);
-        self.changed.notify_all();
-        handle
+        self.lock().conns.remove(&id)
     }
 
     /// Accepts connections until shutdown.
@@ -329,68 +297,19 @@ impl Shared {
         })
     }
 
-    /// Submits a freshly parsed request without blocking; when every worker
-    /// queue is full (or requests are already parked, to keep their order)
-    /// it parks or is shed.
-    fn enqueue(&self, request: Request, out: &Sender<Out>) {
-        let accepted = Instant::now();
-        if self.lock().pending.is_empty() {
-            match self.backend.try_submit(request.clone(), reply_to(out.clone())) {
-                Ok(true) => return,
-                Ok(false) => {}
-                Err(PoolClosed) => {
-                    return Parked { accepted, request, out: out.clone() }.refuse("service is shutting down")
-                }
+    /// Submits a request accepted at `accepted` without blocking; when the
+    /// worker queue is full it is shed, when the pool has shut down it is
+    /// refused.
+    fn enqueue(&self, request: Request, accepted: Instant, out: &Sender<Out>) {
+        let (request, message) = match self.backend.try_submit(request, reply_to(out.clone())) {
+            Ok(()) => return,
+            Err(TrySubmitError::Full(request)) => {
+                self.backend.note_shed();
+                (request, OVERLOADED)
             }
-        }
-        self.park(&mut self.lock(), Parked { accepted, request, out: out.clone() });
-    }
-
-    /// Parks a request for the dispatcher, or sheds it when the ring is
-    /// full.
-    fn park(&self, state: &mut State, parked: Parked) {
-        if state.pending.len() >= MAX_PENDING {
-            self.backend.note_shed();
-            parked.refuse(OVERLOADED);
-        } else {
-            state.pending.push_back(parked);
-            self.changed.notify_all();
-        }
-    }
-
-    /// The dispatcher: releases due delayed requests into the pending ring
-    /// and submits parked requests, blocking while the pool is full. Returns
-    /// once shutdown has been requested and nothing is parked, delayed or
-    /// connected.
-    fn dispatch(&self) {
-        let mut state = self.lock();
-        loop {
-            let now = Instant::now();
-            while let Some(index) = state.delayed.iter().position(|(due, _)| *due <= now) {
-                let (_, parked) = state.delayed.remove(index);
-                self.park(&mut state, parked);
-            }
-            if let Some(parked) = state.pending.pop_front() {
-                drop(state);
-                if self.backend.submit(parked.request.clone(), reply_to(parked.out.clone())).is_err() {
-                    parked.refuse("service is shutting down");
-                }
-                state = self.lock();
-                continue;
-            }
-            if self.stopping() && state.conns.is_empty() && state.delayed.is_empty() {
-                return;
-            }
-            state = match state.delayed.iter().map(|(due, _)| *due).min() {
-                Some(due) => {
-                    self.changed
-                        .wait_timeout(state, due.saturating_duration_since(now))
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
-                None => self.changed.wait(state).unwrap_or_else(PoisonError::into_inner),
-            };
-        }
+            Err(TrySubmitError::Closed(request)) => (request, "service is shutting down"),
+        };
+        refuse(out, request.id, request.trace, accepted, message);
     }
 
     /// Serves one NDJSON connection: reads request lines from `input` until
@@ -449,7 +368,7 @@ impl Shared {
                     discard(&mut input, socket);
                     return Ok(());
                 }
-                if !self.serve_line(&String::from_utf8_lossy(&line), &out, socket) {
+                if !self.serve_line(scope, &String::from_utf8_lossy(&line), &out, socket) {
                     return Ok(());
                 }
             }
@@ -457,8 +376,15 @@ impl Shared {
     }
 
     /// Answers or submits one NDJSON line; `false` when a fault closed the
-    /// connection.
-    fn serve_line(&self, line: &str, out: &Sender<Out>, socket: Option<&TcpStream>) -> bool {
+    /// connection. A fault-delayed request waits on its own thread in the
+    /// connection's `scope`.
+    fn serve_line<'scope>(
+        &'scope self,
+        scope: &'scope Scope<'scope, '_>,
+        line: &str,
+        out: &Sender<Out>,
+        socket: Option<&TcpStream>,
+    ) -> bool {
         let line = line.trim();
         if line.is_empty() {
             return true;
@@ -470,7 +396,7 @@ impl Shared {
             Ok(Incoming::Metrics { id }) => self.backend.metrics_line(id),
             Ok(Incoming::Feedback(request)) => match self.fault() {
                 FaultAction::None => {
-                    self.enqueue(request, out);
+                    self.enqueue(request, Instant::now(), out);
                     return true;
                 }
                 FaultAction::Drop => return true, // swallowed: the client sees silence
@@ -484,9 +410,7 @@ impl Shared {
                 }
                 FaultAction::Garble => "{\"garbled\":tru".to_owned(), // deliberately unparseable
                 FaultAction::Delay(by) => {
-                    let now = Instant::now();
-                    self.lock().delayed.push((now + by, Parked { accepted: now, request, out: out.clone() }));
-                    self.changed.notify_all();
+                    self.delay(scope, request, by, out);
                     return true;
                 }
             },
@@ -494,6 +418,35 @@ impl Shared {
         };
         let _ = out.send((OK, answer));
         true
+    }
+
+    /// Enqueues `request` after `by` on a thread of its own in the
+    /// connection's `scope`. Past [`MAX_DELAYED`] sleeping requests, or
+    /// when no thread can be spawned, the request is shed instead.
+    fn delay<'scope>(
+        &'scope self,
+        scope: &'scope Scope<'scope, '_>,
+        request: Request,
+        by: Duration,
+        out: &Sender<Out>,
+    ) {
+        let accepted = Instant::now();
+        let (id, trace) = (request.id, request.trace.clone());
+        if self.delayed.fetch_add(1, Ordering::SeqCst) < MAX_DELAYED {
+            let delayed_out = out.clone();
+            let spawned =
+                thread::Builder::new().name("clara-delay".to_owned()).spawn_scoped(scope, move || {
+                    thread::sleep(by);
+                    self.enqueue(request, accepted, &delayed_out);
+                    self.delayed.fetch_sub(1, Ordering::SeqCst);
+                });
+            if spawned.is_ok() {
+                return;
+            }
+        }
+        self.delayed.fetch_sub(1, Ordering::SeqCst);
+        self.backend.note_shed();
+        refuse(out, id, trace, accepted, OVERLOADED);
     }
 
     /// Serves one HTTP exchange on `stream` and closes it.
@@ -559,7 +512,7 @@ impl Shared {
             Err(message) => return bad_request(&format!("malformed request: {message}")),
         };
         let (out, reply) = channel();
-        self.enqueue(request, &out);
+        self.enqueue(request, Instant::now(), &out);
         drop(out);
         let (status, body) = reply.recv().map_err(|_| Stop::Gone)?;
         Ok((status, JSON, body))
@@ -704,31 +657,26 @@ impl FrontDoor {
     ///
     /// # Errors
     ///
-    /// Fails when a listener's address cannot be read or a listener or the
-    /// dispatcher thread cannot be spawned; per-connection I/O errors only
-    /// drop that connection.
+    /// Fails when a listener's address cannot be read or a listener thread
+    /// cannot be spawned; per-connection I/O errors only drop that
+    /// connection.
     pub fn run(self) -> io::Result<()> {
         let addrs: Vec<SocketAddr> =
             self.listeners.iter().map(|(listener, _)| listener.local_addr()).collect::<io::Result<_>>()?;
         let shared = &*self.shared;
         thread::scope(|scope| {
-            let spawned = (|| -> io::Result<()> {
+            let spawned = self.listeners.into_iter().try_for_each(|(listener, proto)| {
                 thread::Builder::new()
-                    .name("clara-dispatch".to_owned())
-                    .spawn_scoped(scope, || shared.dispatch())?;
-                for (listener, proto) in self.listeners {
-                    thread::Builder::new()
-                        .name("clara-accept".to_owned())
-                        .spawn_scoped(scope, move || shared.accept(scope, listener, proto))?;
-                }
-                Ok(())
-            })();
+                    .name("clara-accept".to_owned())
+                    .spawn_scoped(scope, move || shared.accept(scope, listener, proto))
+                    .map(drop)
+            });
             if spawned.is_err() {
                 shared.stop();
             }
             let mut state = shared.lock();
             while !shared.stopping() {
-                state = shared.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+                state = shared.stopped.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
             drop(state);
             // Each accept thread is blocked in accept(2): one connection
@@ -766,15 +714,9 @@ impl ShutdownHandle {
 ///
 /// # Errors
 ///
-/// Returns the first read error, or a thread spawn error.
+/// Returns the first read error, or the writer thread's spawn error.
 pub fn run_ndjson(server: Arc<Server>, reader: impl BufRead, writer: impl Write + Send) -> io::Result<()> {
-    let shared = Shared::new(Backend::Local(server), None);
-    thread::scope(|scope| {
-        thread::Builder::new().name("clara-dispatch".to_owned()).spawn_scoped(scope, || shared.dispatch())?;
-        let served = shared.serve_ndjson(reader, writer, None);
-        shared.stop();
-        served
-    })
+    Shared::new(Backend::Local(server), None).serve_ndjson(reader, writer, None)
 }
 
 #[cfg(test)]
@@ -1074,8 +1016,8 @@ mod tests {
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
 
-        // More requests than the worker, its queue and the 256-request
-        // pending ring hold, then a stats probe. Sheds are answered as their
+        // More requests than the worker and its queue (one slot plus 256)
+        // hold, then a stats probe. Sheds are answered as their
         // lines are read, so every one of them precedes the stats reply.
         let total = 400u64;
         let mut burst = String::new();
@@ -1198,6 +1140,72 @@ mod tests {
         }
         assert_eq!(ids, vec![2, 1], "the undelayed request is answered first");
         handle.request_shutdown();
+    }
+
+    /// Serves `lines` over one in-memory NDJSON connection under `plan`
+    /// and returns the parsed replies.
+    fn serve_lines_with_faults(server: Server, plan: FaultPlan, lines: &[String]) -> Vec<Response> {
+        let shared = Shared::new(Backend::Local(Arc::new(server)), Some(plan));
+        let input: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        let mut output = Vec::new();
+        shared.serve_ndjson(input.as_bytes(), &mut output, None).unwrap();
+        assert_eq!(shared.delayed.load(Ordering::SeqCst), 0, "every delay thread finished");
+        String::from_utf8(output).unwrap().lines().map(|line| serde_json::from_str(line).unwrap()).collect()
+    }
+
+    fn derivatives_server(workers: usize, queue_capacity: usize) -> Server {
+        let problem = derivatives();
+        let (store, _) = ClusterStore::build(&problem, problem.seeds.clone(), ClaraConfig::default());
+        let service = Arc::new(FeedbackService::new(vec![store], ServiceConfig::default()));
+        Server::new(service, ServerConfig { workers, queue_capacity })
+    }
+
+    #[test]
+    fn delayed_requests_past_the_cap_are_shed() {
+        // Every request is delayed long enough that the whole pipelined
+        // batch is read while the first MAX_DELAYED still sleep.
+        let plan = FaultPlan { seed: 1, delay: 1.0, delay_ms: 1000, ..FaultPlan::default() };
+        let lines: Vec<String> = (1..=MAX_DELAYED as u64 + 2).map(feedback_line).collect();
+        let responses = serve_lines_with_faults(derivatives_server(1, 4), plan, &lines);
+        assert_eq!(responses.len(), lines.len());
+        let mut shed: Vec<u64> =
+            responses.iter().filter(|r| r.error.as_deref() == Some(OVERLOADED)).map(|r| r.id).collect();
+        shed.sort_unstable();
+        assert_eq!(shed, vec![MAX_DELAYED as u64 + 1, MAX_DELAYED as u64 + 2]);
+        assert!(responses.iter().filter(|r| r.id <= MAX_DELAYED as u64).all(|r| r.error.is_none()));
+    }
+
+    #[test]
+    fn a_refused_delayed_request_reports_its_delay_as_elapsed() {
+        let plan = FaultPlan { seed: 1, delay: 1.0, delay_ms: 200, ..FaultPlan::default() };
+        let mut server = derivatives_server(1, 4);
+        server.shutdown();
+        let responses = serve_lines_with_faults(server, plan, &[feedback_line(1)]);
+        assert_eq!(responses.len(), 1);
+        assert_eq!(responses[0].error.as_deref(), Some("service is shutting down"));
+        assert!(responses[0].elapsed_us >= 200_000, "elapsed {} µs", responses[0].elapsed_us);
+    }
+
+    #[test]
+    fn deeply_nested_json_is_malformed_not_fatal() {
+        // ~100 KB, well under the input cap: without a nesting limit the
+        // JSON decoder recursed once per bracket and overflowed the stack.
+        let depth = 50_000;
+        let deep = format!(
+            r#"{{"id":1,"problem":"derivatives","source":"","trace":{}{}}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let input = format!("{deep}\n{}\n", feedback_line(2));
+        let mut output = Vec::new();
+        run_ndjson(Arc::new(derivatives_server(1, 4)), input.as_bytes(), &mut output).unwrap();
+        let output = String::from_utf8(output).unwrap();
+        let lines: Vec<&str> = output.lines().collect();
+        assert_eq!(lines.len(), 2, "{output}");
+        assert!(lines[0].contains("malformed request"), "{}", lines[0]);
+        let response: Response = serde_json::from_str(lines[1]).unwrap();
+        assert_eq!(response.id, 2);
+        assert!(response.error.is_none(), "{}", lines[1]);
     }
 
     #[test]

@@ -162,7 +162,7 @@ pub struct StatsReport {
     /// Highest index-snapshot generation across the problem shards; bumps
     /// on every online insertion.
     pub snapshot_generation: u64,
-    /// Jobs currently waiting in the worker queues.
+    /// Jobs currently waiting in the worker queue.
     pub queue_depth: u64,
     /// Worker threads serving this process.
     pub workers: u64,
@@ -174,8 +174,7 @@ pub struct StatsReport {
     pub cache_hit_rate: f64,
     /// Jobs lost to handler panics.
     pub worker_panics: u64,
-    /// Requests shed at the front door (event-loop pending ring and worker
-    /// queues both full).
+    /// Requests shed at the front door (worker queue full).
     pub shed_requests: u64,
     /// The monotonic service counters.
     pub service: ServiceStats,

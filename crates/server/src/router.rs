@@ -37,7 +37,7 @@ use clara_core::timing::{Stage, StageTimer};
 use serde::{Deserialize, Serialize};
 
 use crate::obs::{self, render_prometheus, CounterDump, LabelDump, MetricsDump, Registry};
-use crate::pool::{PoolClosed, WorkerPool};
+use crate::pool::{admission_bound, PoolClosed, TrySubmitError, WorkerPool};
 use crate::protocol::{render_response, Request, Response};
 use crate::retry::{CircuitBreaker, RetryPolicy, SplitMix64};
 use crate::shard::{HashRing, REPLICATION_FACTOR};
@@ -47,7 +47,8 @@ use crate::shard::{HashRing, REPLICATION_FACTOR};
 pub struct RouterConfig {
     /// Forwarding worker threads (each blocks on one upstream exchange).
     pub workers: usize,
-    /// Per-worker queue capacity.
+    /// Queue slots per worker: the forwarding pool's one queue holds
+    /// `workers × queue_capacity + 256` requests.
     pub queue_capacity: usize,
     /// Retry/backoff/deadline budget for each client request.
     pub retry: RetryPolicy,
@@ -145,7 +146,7 @@ pub struct RouterReport {
     pub replicated_learns: u64,
     /// Learn requests whose replica write failed (primary still answered).
     pub replication_errors: u64,
-    /// Requests shed at the front door (forwarding queues full).
+    /// Requests shed at the front door (forwarding queue full).
     pub shed_requests: u64,
     /// Per-upstream forwarding counts and breaker state.
     pub upstreams: Vec<UpstreamStat>,
@@ -222,13 +223,10 @@ impl Router {
             counters: Arc::clone(&counters),
             config,
         });
-        let pool = WorkerPool::new(
-            config.workers.max(1),
-            config.queue_capacity.max(1),
-            move |(request, reply): RouterJob| {
-                reply(forwarder.handle(request));
-            },
-        );
+        let bound = admission_bound(config.workers, config.queue_capacity);
+        let pool = WorkerPool::new(config.workers, bound, move |(request, reply): RouterJob| {
+            reply(forwarder.handle(request));
+        });
         obs::install_stage_metrics();
         Router { upstreams, ring, catalog, counters, pool, config }
     }
@@ -247,19 +245,19 @@ impl Router {
         self.ring.owners(&request.problem, canonical_lang(&self.catalog, request), REPLICATION_FACTOR)
     }
 
-    /// Queues `request` for forwarding; `reply` receives the upstream's
-    /// response line (or a local error line). `Ok(false)` means every
-    /// forwarding queue is full.
+    /// Queues `request` for forwarding without blocking; `reply` receives
+    /// the upstream's response line (or a local error line).
     ///
     /// # Errors
     ///
-    /// [`PoolClosed`] after [`Router::shutdown`].
+    /// Hands the request back, with `reply` dropped uncalled, when the
+    /// forwarding queue is full or after [`Router::shutdown`].
     pub fn try_submit(
         &self,
         request: Request,
         reply: Box<dyn FnOnce(String) + Send>,
-    ) -> Result<bool, PoolClosed> {
-        self.pool.try_submit((request, reply))
+    ) -> Result<(), TrySubmitError<Request>> {
+        self.pool.try_submit((request, reply)).map_err(|refused| refused.map(|(request, _)| request))
     }
 
     /// Blocking forward for synchronous callers (tests, CLI probes).
@@ -271,7 +269,7 @@ impl Router {
         self.pool.submit((request, reply))
     }
 
-    /// Records a request shed at the front door (pending ring full), so
+    /// Records a request shed at the front door (forwarding queue full), so
     /// overload shows up in `/stats`.
     pub fn note_shed(&self) {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -375,7 +373,7 @@ impl Router {
         render_prometheus(&self.metrics_dump(0))
     }
 
-    /// Closes the forwarding queues and joins the workers.
+    /// Closes the forwarding queue and joins the workers.
     pub fn shutdown(&mut self) {
         self.pool.shutdown();
     }

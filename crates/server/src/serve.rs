@@ -2,15 +2,16 @@
 //!
 //! Every front end in [`crate::net`] (NDJSON over TCP or stdio, HTTP)
 //! submits requests here, one request per [`FeedbackService::handle`] call.
-//! The bounded per-worker queues give the service backpressure: a flooding
-//! client is parked or shed by the front door instead of ballooning memory.
+//! The pool's one bounded queue gives the service backpressure: once it is
+//! full the front door sheds a flooding client's requests instead of
+//! ballooning memory.
 //! Every submitted request is answered exactly once: if its handler panics,
 //! the reply still goes out as an internal error.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::pool::{PoolClosed, WorkerPool};
+use crate::pool::{admission_bound, PoolClosed, TrySubmitError, WorkerPool};
 use crate::protocol::{Request, Response, StatsReport};
 use crate::service::FeedbackService;
 
@@ -19,8 +20,9 @@ use crate::service::FeedbackService;
 pub struct ServerConfig {
     /// Number of worker threads.
     pub workers: usize,
-    /// Bounded job-queue capacity **per worker** (submission blocks or is
-    /// shed when every queue is full).
+    /// Queue slots per worker: the pool's one queue holds
+    /// `workers × queue_capacity + 256` jobs, and submission blocks or is
+    /// shed when it is full.
     pub queue_capacity: usize,
 }
 
@@ -87,9 +89,10 @@ impl Server {
     /// Spawns the worker pool over `service`.
     pub fn new(service: Arc<FeedbackService>, config: ServerConfig) -> Self {
         let handler_service = Arc::clone(&service);
-        let pool = WorkerPool::new(config.workers, config.queue_capacity, move |(request, callback): Job| {
+        let bound = admission_bound(config.workers, config.queue_capacity);
+        let pool = WorkerPool::new(config.workers, bound, move |(request, callback): Job| {
             // Armed only once a worker runs the job: a job the pool hands
-            // back (full queues, shutdown) is the submitter's to answer.
+            // back (full queue, shutdown) is the submitter's to answer.
             let reply = Reply::new(&request, callback);
             reply.send(handler_service.handle(&request));
         });
@@ -102,7 +105,7 @@ impl Server {
     }
 
     /// Enqueues a request; `on_response` runs on a worker thread when the
-    /// request completes. Blocks while every worker queue is full.
+    /// request completes. Blocks while the queue is full.
     ///
     /// # Errors
     ///
@@ -115,19 +118,21 @@ impl Server {
         self.pool.submit((request, Box::new(on_response)))
     }
 
-    /// Enqueues a request without blocking; `Ok(false)` signals that every
-    /// worker queue is full (the caller sheds or retries — the front door
-    /// parks the request in its pending ring).
+    /// Enqueues a request without blocking.
     ///
     /// # Errors
     ///
-    /// Returns [`PoolClosed`] after [`Server::shutdown`].
+    /// Hands the request back, with `on_response` dropped uncalled, when
+    /// the queue is full (the front door sheds it) or after
+    /// [`Server::shutdown`].
     pub fn try_submit(
         &self,
         request: Request,
         on_response: impl FnOnce(Response) + Send + 'static,
-    ) -> Result<bool, PoolClosed> {
-        self.pool.try_submit((request, Box::new(on_response)))
+    ) -> Result<(), TrySubmitError<Request>> {
+        self.pool
+            .try_submit((request, Box::new(on_response)))
+            .map_err(|refused| refused.map(|(request, _)| request))
     }
 
     /// Handles a request synchronously on the calling thread (bypasses the
@@ -142,8 +147,8 @@ impl Server {
         self.pool.panic_count()
     }
 
-    /// Records a request shed at the front door (pending ring overflow), so
-    /// overload shows up in `/stats`.
+    /// Records a request shed at the front door (queue full), so overload
+    /// shows up in `/stats`.
     pub fn note_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
@@ -170,7 +175,7 @@ impl Server {
         }
     }
 
-    /// Drains the queues and joins the workers.
+    /// Drains the queue and joins the workers.
     pub fn shutdown(&mut self) {
         self.pool.shutdown();
     }

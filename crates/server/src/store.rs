@@ -36,6 +36,7 @@ use clara_core::{
 use clara_corpus::Problem;
 use clara_lang::Expr;
 use clara_model::frontend::ParsedSubmission;
+use clara_model::{LowerError, Program};
 use serde::{Deserialize, Serialize};
 
 /// On-disk format version; bumped when the stored shape changes.
@@ -46,6 +47,12 @@ pub const STORE_FORMAT_VERSION: u32 = 3;
 
 /// The oldest on-disk format this build still reads.
 pub const STORE_FORMAT_MIN_COMPAT: u32 = 2;
+
+/// The deepest expression, in JSON levels ([`Expr::json_depth`]), an index
+/// stores. Six arrays and objects enclose it (the index, `clusters`, a
+/// cluster, its `expressions`, a slot and its `exprs`), and a saved index
+/// nested past the JSON parser's limit would no longer load.
+pub const MAX_STORED_EXPR_DEPTH: usize = serde_json::RECURSION_LIMIT - 6;
 
 /// Why a store could not be saved or loaded.
 #[derive(Debug)]
@@ -183,13 +190,22 @@ impl ClusterStore {
     ///
     /// # Errors
     ///
-    /// Returns an [`AnalysisError`] when the solution cannot be analysed.
+    /// Returns an [`AnalysisError`] when the solution cannot be analysed,
+    /// or when one of its expressions nests deeper than
+    /// [`MAX_STORED_EXPR_DEPTH`]; the store is then left unchanged.
     pub fn insert_correct(
         &mut self,
         parsed: &dyn ParsedSubmission,
         source: &str,
     ) -> Result<usize, AnalysisError> {
-        let index = self.engine.add_correct_parsed(parsed)?;
+        let analyzed = AnalyzedProgram::from_parsed(
+            parsed,
+            self.problem.entry,
+            self.engine.inputs(),
+            self.engine.fuel(),
+        )?;
+        check_storable(&analyzed.program)?;
+        let index = self.engine.add_correct_analyzed(analyzed, parsed);
         if index == self.rep_sources.len() {
             // The solution opened a new cluster and is its representative.
             self.rep_sources.push(source.into());
@@ -409,6 +425,24 @@ impl ClusterStore {
     }
 }
 
+/// Refuses a program with an expression nested deeper than
+/// [`MAX_STORED_EXPR_DEPTH`], which a saved index could not load back.
+fn check_storable(program: &Program) -> Result<(), AnalysisError> {
+    for loc in program.locs() {
+        for (var, expr) in program.updates_at(loc) {
+            let depth = expr.json_depth();
+            if depth > MAX_STORED_EXPR_DEPTH {
+                let line = program.update_line(loc, var).unwrap_or(0);
+                return Err(AnalysisError::Unsupported(LowerError::new(
+                    line,
+                    format!("expression nested {depth} levels deep, an index stores at most {MAX_STORED_EXPR_DEPTH}"),
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,6 +526,62 @@ mod tests {
         assert!(path.exists());
         let loaded = ClusterStore::load(&dir, &problem, ClaraConfig::default()).unwrap().unwrap();
         assert_eq!(loaded.stats(), store.stats());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The deepest array/object nesting of a JSON text, outside strings.
+    fn json_nesting(json: &str) -> usize {
+        let (mut depth, mut deepest, mut in_string, mut escaped) = (0usize, 0usize, false, false);
+        for byte in json.bytes() {
+            match (in_string, escaped, byte) {
+                (true, true, _) => escaped = false,
+                (true, false, b'\\') => escaped = true,
+                (true, false, b'"') | (false, _, b'"') => in_string = !in_string,
+                (false, _, b'[' | b'{') => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                (false, _, b']' | b'}') => depth -= 1,
+                _ => {}
+            }
+        }
+        deepest
+    }
+
+    #[test]
+    fn a_learn_too_deep_to_load_again_is_refused() {
+        // Each `0 + (...)` nests the appended expression one JSON level
+        // deeper in the saved index.
+        let source = |additions: usize| {
+            format!(
+                "def computeDeriv(poly):\n    result = []\n    for e in range(1, len(poly)):\n        \
+                 result.append(float({}poly[e]*e{}))\n    if result == []:\n        return [0.0]\n    \
+                 else:\n        return result\n",
+                "0 + (".repeat(additions),
+                ")".repeat(additions)
+            )
+        };
+        let store = store_with_seeds();
+        let (mut deepest, mut refused) = (None, false);
+        for additions in 100..=MAX_STORED_EXPR_DEPTH {
+            match store.with_learned(&source(additions)) {
+                Ok((learned, _)) => deepest = Some(learned),
+                Err(e) => {
+                    assert!(e.to_string().contains("levels deep"), "{e}");
+                    refused = true;
+                    break;
+                }
+            }
+        }
+        assert!(refused, "a solution nested past the limit must not learn");
+        let deepest = deepest.expect("a solution below the limit learns");
+        let json = deepest.to_json();
+        assert_eq!(json_nesting(&json), serde_json::RECURSION_LIMIT, "the limit is not conservative");
+        let dir = std::env::temp_dir().join(format!("clara-store-deep-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        deepest.save(&dir).unwrap();
+        let loaded = ClusterStore::load(&dir, &derivatives(), ClaraConfig::default()).unwrap().unwrap();
+        assert_eq!(loaded.to_json(), json);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
