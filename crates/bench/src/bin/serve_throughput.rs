@@ -35,8 +35,8 @@ use clara_corpus::{
 };
 use clara_model::frontend::Lang;
 use clara_server::{
-    ClusterStore, FeedbackService, HashRing, Request, Response, RouterReport, Server, ServerConfig,
-    ServiceConfig, StatsReport, Status,
+    ClusterStore, FeedbackService, HashRing, MetricsDump, Request, Response, Server, ServerConfig,
+    ServiceConfig, Status,
 };
 use serde::Serialize;
 
@@ -310,8 +310,8 @@ fn replay_chunk(addr: &str, chunk: &[WorkloadRequest]) -> Vec<f64> {
     latencies
 }
 
-/// One `{"stats":true}` probe against a shard.
-fn probe_stats(addr: &str) -> Option<StatsReport> {
+/// One `{"stats":true}` probe against a shard or a router.
+fn probe_stats(addr: &str) -> Option<MetricsDump> {
     let stream = TcpStream::connect(addr).ok()?;
     let mut writer = stream.try_clone().ok()?;
     writeln!(writer, r#"{{"id":0,"stats":true}}"#).ok()?;
@@ -320,14 +320,10 @@ fn probe_stats(addr: &str) -> Option<StatsReport> {
     serde_json::from_str(line.trim()).ok()
 }
 
-/// One `{"stats":true}` probe against a router.
-fn probe_router_stats(addr: &str) -> Option<RouterReport> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let mut writer = stream.try_clone().ok()?;
-    writeln!(writer, r#"{{"id":0,"stats":true}}"#).ok()?;
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).ok()?;
-    serde_json::from_str(line.trim()).ok()
+/// The fraction of a service's requests answered from its result cache.
+fn cache_hit_rate(stats: &MetricsDump) -> f64 {
+    stats.counter("clara_cache_hits_total", &[]) as f64
+        / stats.counter("clara_requests_total", &[]).max(1) as f64
 }
 
 /// A chaos-aware NDJSON client: reconnects on broken exchanges, retries
@@ -520,7 +516,7 @@ fn run_fleet(
                 } else {
                     0.0
                 },
-                cache_hit_rate: stats.map(|s| s.cache_hit_rate).unwrap_or(0.0),
+                cache_hit_rate: stats.as_ref().map_or(0.0, cache_hit_rate),
             }
         })
         .collect();
@@ -543,8 +539,16 @@ fn run_fleet(
     }
 }
 
-/// Sums a per-shard counter over every reachable shard.
-fn sum_shard_stats(addrs: &[String], pick: impl Fn(&StatsReport) -> u64) -> u64 {
+/// A server's `clara_worker_panics` gauge. A dump without it fails the run
+/// rather than reading as zero panics.
+fn worker_panics(dump: &MetricsDump) -> u64 {
+    dump.gauge("clara_worker_panics", &[])
+        .expect("a server's dump carries clara_worker_panics")
+        .unsigned_abs()
+}
+
+/// Sums a per-shard figure over every reachable shard.
+fn sum_shard_stats(addrs: &[String], pick: impl Fn(&MetricsDump) -> u64) -> u64 {
     addrs.iter().filter_map(|a| probe_stats(a)).map(|s| pick(&s)).sum()
 }
 
@@ -678,8 +682,8 @@ fn run_chaos(mode: RunMode) {
     // Single-flight probe: concurrent duplicates of one novel incorrect
     // submission must share one repair (coalesced or cache-hit followers).
     println!("(coalescing probe: {COALESCE_CLIENTS} concurrent duplicates of a novel submission)");
-    let before_coalesced = sum_shard_stats(&shard_addrs, |s| s.service.coalesced);
-    let before_hits = sum_shard_stats(&shard_addrs, |s| s.cache_hits);
+    let before_coalesced = sum_shard_stats(&shard_addrs, |s| s.counter("clara_coalesced_total", &[]));
+    let before_hits = sum_shard_stats(&shard_addrs, |s| s.counter("clara_cache_hits_total", &[]));
     let probe_problem = &problems[0];
     let probe_source = extra[0]
         .incorrect
@@ -712,8 +716,10 @@ fn run_chaos(mode: RunMode) {
         })
         .collect();
     let coalesce_answered = coalesce_threads.into_iter().map(false_on_panic).filter(|&ok| ok).count();
-    let coalesced = sum_shard_stats(&shard_addrs, |s| s.service.coalesced) - before_coalesced;
-    let coalesce_cache_hits = sum_shard_stats(&shard_addrs, |s| s.cache_hits) - before_hits;
+    let coalesced =
+        sum_shard_stats(&shard_addrs, |s| s.counter("clara_coalesced_total", &[])) - before_coalesced;
+    let coalesce_cache_hits =
+        sum_shard_stats(&shard_addrs, |s| s.counter("clara_cache_hits_total", &[])) - before_hits;
     let coalescing_hit_rate =
         (coalesced + coalesce_cache_hits) as f64 / (COALESCE_CLIENTS.saturating_sub(1)).max(1) as f64;
 
@@ -777,9 +783,10 @@ fn run_chaos(mode: RunMode) {
     }
     let lost_learns = (learn_attempts - learn_acks) + reread_failures;
 
-    let router_report = probe_router_stats(&router.addr);
-    let worker_panics = sum_shard_stats(&shard_addrs, |s| s.worker_panics);
-    let shard_shed = sum_shard_stats(&shard_addrs, |s| s.shed_requests);
+    let router_report = probe_stats(&router.addr).unwrap_or_default();
+    let router_counter = |name: &str| router_report.counter(name, &[]);
+    let worker_panics = sum_shard_stats(&shard_addrs, worker_panics);
+    let shard_shed = sum_shard_stats(&shard_addrs, |s| s.counter("clara_shed_total", &[]));
     let total_requests = workload.len() + learn_attempts + learned_sources.len() + COALESCE_CLIENTS + 1;
     let report = ChaosReport {
         corpus: corpus_label,
@@ -800,12 +807,12 @@ fn run_chaos(mode: RunMode) {
         killed_shard: format!("{victim}/{SHARDS}"),
         recovery_seconds,
         served_during_outage,
-        router_forwarded: router_report.as_ref().map_or(0, |r| r.forwarded),
-        router_retries: router_report.as_ref().map_or(0, |r| r.retries),
-        router_failovers: router_report.as_ref().map_or(0, |r| r.failovers),
-        router_replicated_learns: router_report.as_ref().map_or(0, |r| r.replicated_learns),
-        router_upstream_errors: router_report.as_ref().map_or(0, |r| r.upstream_errors),
-        shed_requests: router_report.as_ref().map_or(0, |r| r.shed_requests) + shard_shed,
+        router_forwarded: router_counter("clara_router_forwarded_total"),
+        router_retries: router_counter("clara_router_retries_total"),
+        router_failovers: router_counter("clara_router_failovers_total"),
+        router_replicated_learns: router_counter("clara_router_replicated_learns_total"),
+        router_upstream_errors: router_counter("clara_router_upstream_errors_total"),
+        shed_requests: router_counter("clara_router_shed_total") + shard_shed,
         worker_panics,
     };
 
@@ -1072,7 +1079,7 @@ fn main() {
         .filter(|s| s.count > 0)
         .collect();
 
-    let stats = service.stats();
+    let stats = service.registry().dump(0);
     let report = ServeReport {
         corpus: corpus_label,
         problems: datasets.len(),
@@ -1081,7 +1088,7 @@ fn main() {
         requests_per_sec: workload.len() as f64 / replay_seconds,
         p50_latency_ms: median_f64(latencies.clone()),
         p95_latency_ms: percentile(&latencies, 0.95),
-        cache_hit_rate: stats.cache_hits as f64 / stats.requests.max(1) as f64,
+        cache_hit_rate: cache_hit_rate(&stats),
         workload_duplicate_fraction,
         dataset_dedup_rate,
         cold_build_seconds,
@@ -1093,7 +1100,7 @@ fn main() {
         no_repair: count_status(Status::NoRepair),
         errors: count_status(Status::Error),
         unanalysable_requests,
-        worker_panics: server.panic_count(),
+        worker_panics: worker_panics(&server.stats_dump(0)),
         shard_scaling,
         scaling_2x,
         latency_breakdown,

@@ -30,8 +30,12 @@
 //!   replica, and a stateless [`Router`] forwards to them with retries,
 //!   backoff, circuit breakers and failover;
 //! * [`fault`] — seeded **fault injection** for chaos testing the fleet;
-//! * [`obs`] — **observability**: the process-wide metrics [`Registry`],
-//!   latency histograms, Prometheus rendering and structured logs.
+//! * [`obs`] — **observability**: metrics [`Registry`]s, latency
+//!   histograms, Prometheus rendering and structured logs. Each
+//!   [`FeedbackService`] and [`Router`] owns a registry holding everything it
+//!   counts; the process-wide [`Registry::global`] holds only the per-stage
+//!   latency histograms. `/stats`, `/health` and `/metrics` all render one
+//!   dump of the two ([`Server::stats_dump`], [`Router::stats_dump`]).
 //!
 //! Threads, sockets and locks come from `std` alone (the build environment
 //! is offline: no tokio, no libc), and the crate forbids `unsafe` code.
@@ -93,12 +97,10 @@ pub use obs::{
     mint_trace_id, render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, MetricsDump, Registry,
 };
 pub use pool::{PoolClosed, TrySubmitError, WorkerPool};
-pub use protocol::{
-    parse_incoming, parse_request, render_response, Incoming, Request, Response, StatsReport, Status,
-};
+pub use protocol::{parse_incoming, parse_request, render_response, Incoming, Request, Response, Status};
 pub use retry::{BreakerState, CircuitBreaker, RetryPolicy, SplitMix64};
-pub use router::{Router, RouterConfig, RouterReport};
+pub use router::{Router, RouterConfig};
 pub use serve::{default_workers, Server, ServerConfig};
-pub use service::{FeedbackService, ServiceConfig, ServiceStats, ShardStat};
+pub use service::{FeedbackService, ServiceConfig};
 pub use shard::{HashRing, ShardSpec, ShardSpecError, REPLICATION_FACTOR};
 pub use store::{ClusterStore, StoreError, STORE_FORMAT_VERSION};

@@ -15,6 +15,11 @@
 //! * **HTTP** — `POST /repair`, `GET /health`, `GET /stats`,
 //!   `GET /metrics`. A connection's thread reads the head and body,
 //!   submits, waits for the reply, writes it and closes.
+//! * **Observability** — `/health`, `/stats` and NDJSON `{"stats":true}`
+//!   answer the backend's stats dump as one JSON line; `/metrics` renders
+//!   the same dump as Prometheus text, and NDJSON `{"metrics":true}`
+//!   answers it as JSON. On a router, both metrics views also merge every
+//!   shard's dump.
 //! * **Overload** — a request goes straight into the [`Backend`]'s worker
 //!   queue without blocking. When that bounded queue is full the request is
 //!   shed with an explicit `server overloaded` error so clients can back
@@ -35,7 +40,7 @@ use std::thread::{self, Scope};
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultAction, FaultInjector, FaultPlan};
-use crate::obs::{render_prometheus, Registry};
+use crate::obs::{render_prometheus, MetricsDump};
 use crate::pool::TrySubmitError;
 use crate::protocol::{parse_incoming, parse_request, render_response, Incoming, Request, Response};
 use crate::router::Router;
@@ -96,43 +101,13 @@ impl Backend {
         }
     }
 
-    /// The one-line JSON stats report (NDJSON `{"stats":true}` and
-    /// `GET /stats`).
-    fn stats_line(&self, id: u64) -> String {
+    /// The process's stats dump, or with `fleet` the metrics view, which
+    /// on a router also merges every reachable shard's dump.
+    fn dump(&self, id: u64, fleet: bool) -> MetricsDump {
         match self {
-            Backend::Local(server) => {
-                serde_json::to_string(&server.stats_report(id)).unwrap_or_else(|e| stats_error_line(id, &e))
-            }
-            Backend::Router(router) => router.stats_line(id),
-        }
-    }
-
-    /// The `GET /health` body: service counters for a shard, the routing
-    /// report for a router.
-    fn health_line(&self) -> String {
-        match self {
-            Backend::Local(server) => {
-                serde_json::to_string(&server.service().stats()).unwrap_or_else(|e| stats_error_line(0, &e))
-            }
-            Backend::Router(router) => router.stats_line(0),
-        }
-    }
-
-    /// The one-line JSON metrics dump (NDJSON `{"metrics":true}`): this
-    /// process's registry for a shard, the merged fleet view for a router.
-    fn metrics_line(&self, id: u64) -> String {
-        match self {
-            Backend::Local(_) => serde_json::to_string(&Registry::global().dump(id))
-                .unwrap_or_else(|e| stats_error_line(id, &e)),
-            Backend::Router(router) => router.metrics_line(id),
-        }
-    }
-
-    /// The `GET /metrics` body in Prometheus text format.
-    fn metrics_text(&self) -> String {
-        match self {
-            Backend::Local(_) => render_prometheus(&Registry::global().dump(0)),
-            Backend::Router(router) => router.metrics_text(),
+            Backend::Local(server) => server.stats_dump(id),
+            Backend::Router(router) if fleet => router.metrics_dump(id),
+            Backend::Router(router) => router.stats_dump(id),
         }
     }
 
@@ -145,10 +120,12 @@ impl Backend {
     }
 }
 
-/// A well-formed fallback line when a stats report fails to serialize (our
-/// own structs never should, but the front door must not panic for it).
-fn stats_error_line(id: u64, error: &impl std::fmt::Display) -> String {
-    render_response(&Response::error(id, format!("stats serialization failed: {error}")))
+/// A dump as one JSON line, or a well-formed error line should it fail to
+/// serialize (it never should, but the front door must not panic for it).
+fn dump_line(dump: &MetricsDump) -> String {
+    serde_json::to_string(dump).unwrap_or_else(|error| {
+        render_response(&Response::error(dump.id, format!("stats serialization failed: {error}")))
+    })
 }
 
 /// One answer on its way to a connection: the HTTP status line (ignored
@@ -390,10 +367,10 @@ impl Shared {
             return true;
         }
         let answer = match parse_incoming(line) {
-            Ok(Incoming::Stats { id }) => self.backend.stats_line(id),
+            Ok(Incoming::Stats { id }) => dump_line(&self.backend.dump(id, false)),
             // Metrics probes, like stats, bypass fault injection: the fleet
             // must stay observable under chaos.
-            Ok(Incoming::Metrics { id }) => self.backend.metrics_line(id),
+            Ok(Incoming::Metrics { id }) => dump_line(&self.backend.dump(id, true)),
             Ok(Incoming::Feedback(request)) => match self.fault() {
                 FaultAction::None => {
                     self.enqueue(request, Instant::now(), out);
@@ -487,9 +464,10 @@ impl Shared {
             }
         }
         let length = match (method, path) {
-            ("GET", "/health") => return Ok((OK, JSON, self.backend.health_line())),
-            ("GET", "/stats") => return Ok((OK, JSON, self.backend.stats_line(0))),
-            ("GET", "/metrics") => return Ok((OK, PROMETHEUS, self.backend.metrics_text())),
+            ("GET", "/health" | "/stats") => return Ok((OK, JSON, dump_line(&self.backend.dump(0, false)))),
+            ("GET", "/metrics") => {
+                return Ok((OK, PROMETHEUS, render_prometheus(&self.backend.dump(0, true))))
+            }
             ("POST", "/repair") => match content_length {
                 None => return bad_request("missing Content-Length header"),
                 Some(Err(_)) => return bad_request("invalid Content-Length header"),
@@ -727,7 +705,7 @@ mod tests {
     use crate::store::ClusterStore;
     use clara_core::ClaraConfig;
     use clara_corpus::mooc::derivatives;
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Read};
 
     fn spawn_ndjson_server() -> (std::net::SocketAddr, ShutdownHandle) {
         let problem = derivatives();
@@ -776,7 +754,7 @@ mod tests {
         let mut saw_stats = false;
         let mut saw_malformed = false;
         for line in &lines {
-            if line.contains("\"snapshot_generation\"") {
+            if line.contains("\"metrics_dump\":true") {
                 saw_stats = true;
                 assert!(line.contains("\"id\":50"), "{line}");
             } else if line.contains("malformed request") {
@@ -966,7 +944,7 @@ mod tests {
         writeln!(writer, r#"{{"id":9,"stats":true}}"#).unwrap();
         let mut stats = String::new();
         reader.read_line(&mut stats).unwrap();
-        assert!(stats.contains("\"snapshot_generation\""), "{stats}");
+        assert!(stats.contains("\"clara_snapshot_generation\""), "{stats}");
         // Metrics probes are exempt too and answer with a parseable dump.
         writeln!(writer, r#"{{"id":11,"metrics":true}}"#).unwrap();
         let mut metrics = String::new();
@@ -1032,8 +1010,8 @@ mod tests {
         let report = loop {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
-            if line.contains("\"router\":true") {
-                break serde_json::from_str::<crate::router::RouterReport>(line.trim()).unwrap();
+            if line.contains("\"metrics_dump\":true") {
+                break serde_json::from_str::<MetricsDump>(line.trim()).unwrap();
             }
             let response: Response = serde_json::from_str(line.trim()).unwrap();
             assert_eq!(response.error.as_deref(), Some("server overloaded, retry later"), "{line}");
@@ -1041,7 +1019,7 @@ mod tests {
         };
         assert!(!shed.is_empty(), "a full pending ring must shed");
         assert!(shed.iter().all(|id| (1..=total).contains(id)), "sheds echo their request ids: {shed:?}");
-        assert_eq!(report.shed_requests, shed.len() as u64);
+        assert_eq!(report.counter("clara_router_shed_total", &[]), shed.len() as u64);
         handle.request_shutdown();
     }
 
@@ -1208,6 +1186,110 @@ mod tests {
         assert!(response.error.is_none(), "{}", lines[1]);
     }
 
+    /// Serves `backend` over HTTP; returns a function GETting a path's body.
+    fn spawn_http(backend: Backend) -> (impl Fn(&str) -> String, ShutdownHandle) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let front_door = FrontDoor::new(backend, None).with_http_listener(listener);
+        let handle = front_door.handle();
+        std::thread::spawn(move || {
+            let _ = front_door.run();
+        });
+        let get = move |path: &str| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+            reply.split_once("\r\n\r\n").unwrap().1.to_owned()
+        };
+        (get, handle)
+    }
+
+    /// Asserts that `/stats` and `/health` answer one dump, and that each of
+    /// its counters appears in the `/metrics` text with the same value.
+    /// Returns the dump.
+    fn assert_endpoints_are_views_of_one_dump(get: impl Fn(&str) -> String) -> MetricsDump {
+        let stats: MetricsDump = serde_json::from_str(&get("/stats")).unwrap();
+        let health: MetricsDump = serde_json::from_str(&get("/health")).unwrap();
+        let metrics = get("/metrics");
+        assert!(!stats.counters.is_empty());
+        for counter in &stats.counters {
+            let alone = MetricsDump { counters: vec![counter.clone()], ..MetricsDump::default() };
+            let rendered = render_prometheus(&alone);
+            let line = rendered.lines().last().unwrap();
+            assert!(metrics.lines().any(|l| l == line), "`{line}` is not in /metrics:\n{metrics}");
+            assert_eq!(
+                health.counter(&counter.name, &[]),
+                stats.counter(&counter.name, &[]),
+                "{}",
+                counter.name
+            );
+        }
+        stats
+    }
+
+    #[test]
+    fn a_shard_answers_stats_health_and_metrics_from_one_registry() {
+        let server = Arc::new(derivatives_server(1, 4));
+        let (get, handle) = spawn_http(Backend::Local(Arc::clone(&server)));
+        let correct = derivatives().seeds[1];
+        for (id, source, learn) in
+            [(1, "def computeDeriv(poly):\n    return poly\n", None), (2, correct, None)]
+        {
+            let mut request = Request {
+                id,
+                problem: "derivatives".to_owned(),
+                lang: None,
+                source: source.to_owned(),
+                learn,
+                trace: None,
+            };
+            assert_ne!(server.handle_sync(&request).status, crate::protocol::Status::Error);
+            request.id += 10;
+            request.learn = Some(true);
+            let _ = server.handle_sync(&request);
+        }
+        server.note_shed();
+        let stats = assert_endpoints_are_views_of_one_dump(get);
+        assert_eq!(stats.counter("clara_requests_total", &[]), 4);
+        assert_eq!(stats.counter("clara_cache_hits_total", &[]), 2);
+        assert_eq!(stats.counter("clara_learned_total", &[]), 1);
+        assert_eq!(stats.counter("clara_shed_total", &[]), 1);
+        assert_eq!(
+            stats.gauge("clara_snapshot_generation", &[("problem", "derivatives"), ("shard", "0/1")]),
+            Some(1)
+        );
+        handle.request_shutdown();
+    }
+
+    #[test]
+    fn a_router_answers_stats_health_and_metrics_from_one_registry() {
+        // A two-shard fleet with one dead shard: a learn owned by the live
+        // shard fails to replicate, a read owned by the dead one fails over.
+        let live = crate::router::tests::fake_shard("live");
+        let dead = "127.0.0.1:1".to_owned();
+        let router =
+            Arc::new(Router::new(vec![live, dead], Vec::new(), crate::router::tests::fast_config(1, 4)));
+        let ring = crate::shard::HashRing::new(2);
+        let owned_by =
+            |shard: usize| (0..100).map(|i| format!("p{i}")).find(|p| ring.owner(p, "") == shard).unwrap();
+        for (id, problem, learn) in [(1, owned_by(0), Some(true)), (2, owned_by(1), None)] {
+            let request = Request { id, problem, lang: None, source: "x".to_owned(), learn, trace: None };
+            let (tx, rx) = channel();
+            router.submit(request, Box::new(move |line| tx.send(line).unwrap())).unwrap();
+            rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        }
+        router.note_shed();
+        let (get, handle) = spawn_http(Backend::Router(router));
+        let stats = assert_endpoints_are_views_of_one_dump(get);
+        assert_eq!(stats.counter("clara_router_replication_errors_total", &[]), 1);
+        assert_eq!(stats.counter("clara_router_failovers_total", &[]), 1);
+        assert_eq!(stats.counter("clara_router_shed_total", &[]), 1);
+        assert!(stats.counter("clara_router_upstream_errors_total", &[("upstream", "127.0.0.1:1")]) >= 1);
+        handle.request_shutdown();
+    }
+
     #[test]
     fn ndjson_metrics_probes_return_request_histograms() {
         let (addr, handle) = spawn_ndjson_server();
@@ -1234,18 +1316,17 @@ mod tests {
         writeln!(writer, r#"{{"id":2,"metrics":true}}"#).unwrap();
         let mut metrics = String::new();
         reader.read_line(&mut metrics).unwrap();
-        let dump: crate::obs::MetricsDump = serde_json::from_str(metrics.trim()).unwrap();
-        let requests: u64 =
-            dump.counters.iter().filter(|c| c.name == "clara_requests_total").map(|c| c.value).sum();
-        assert!(requests >= 1, "the request must be counted: {dump:?}");
-        // The registry is process-global and other tests run in parallel,
-        // so assert presence and sanity, not exact counts.
+        let dump: MetricsDump = serde_json::from_str(metrics.trim()).unwrap();
+        assert_eq!(dump.counter("clara_requests_total", &[]), 1, "the request must be counted: {dump:?}");
         let duration = dump
             .histograms
             .iter()
-            .find(|h| h.name == "clara_request_duration_us")
+            .find(|h| {
+                h.name == "clara_request_duration_us"
+                    && h.labels.iter().any(|l| l.k == "status" && l.v == response.status.as_str())
+            })
             .expect("request duration histogram present");
-        assert!(duration.hist.count >= 1);
+        assert_eq!(duration.hist.count, 1);
         assert!(duration.hist.quantile(0.5) <= duration.hist.quantile(0.99).max(1));
         assert!(
             dump.histograms.iter().any(|h| h.name == "clara_stage_duration_us"),

@@ -5,17 +5,22 @@
 //! tracing crate and no logging framework — everything here is `std` only:
 //!
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — atomic instruments held in
-//!   the process-wide [`Registry`], registered by name + label set. The
-//!   histogram uses **log-linear buckets** (exact below 8, four sub-buckets
+//!   a [`Registry`], registered by name + label set. Each
+//!   [`crate::FeedbackService`] and [`crate::Router`] owns a registry with
+//!   everything it counts; the process-wide [`Registry::global`] holds only
+//!   the `clara_stage_duration_us` histograms of [`install_stage_metrics`].
+//!   The histogram uses **log-linear buckets** (exact below 8, four sub-buckets
 //!   per power of two above, one overflow bucket past `2^30`): every
 //!   histogram in the fleet shares the same fixed layout, so merging two of
 //!   them is an element-wise add and a router can fold shard histograms
 //!   into fleet-level views without resampling. Quantile estimates are
 //!   bucket-upper-bound answers, i.e. `p ≤ estimate ≤ 1.25·p` above the
 //!   linear range (property-tested below).
-//! * [`MetricsDump`] — the JSON snapshot exchanged by `{"metrics":true}`
-//!   NDJSON probes; [`render_prometheus`] renders a dump (local or merged)
-//!   in Prometheus text format for `GET /metrics`.
+//! * [`MetricsDump`] — the JSON snapshot of a process's registry merged
+//!   with the global one: the one answer of `GET /stats`, `GET /health` and
+//!   the `{"stats":true}` and `{"metrics":true}` NDJSON probes;
+//!   [`render_prometheus`] renders a dump (local or fleet-merged) in
+//!   Prometheus text format for `GET /metrics`.
 //! * [`mint_trace_id`] — 16-hex-digit request trace ids from a seeded
 //!   SplitMix64 stream, minted at ingress and threaded through the
 //!   protocol.
@@ -241,9 +246,9 @@ enum Metric {
     Histogram(Arc<Histogram>),
 }
 
-/// A process-wide registry of named, labelled instruments. Instrument
-/// handles are `Arc`s: register once (cheap but locking), then record
-/// lock-free on the hot path.
+/// A registry of named, labelled instruments. Instrument handles are
+/// `Arc`s: register once (cheap but locking), then record lock-free on the
+/// hot path.
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<MetricKey, Metric>>,
@@ -254,7 +259,9 @@ fn metric_key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
 }
 
 impl Registry {
-    /// The process-wide registry.
+    /// The process-wide registry: the stage histograms of
+    /// [`install_stage_metrics`], which the core crate's timers feed from
+    /// wherever they run.
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(Registry::default)
@@ -326,6 +333,19 @@ impl Registry {
         }
         dump
     }
+
+    /// This registry's dump merged with the global stage histograms: what
+    /// one process answers to `/stats`, `/health` and `/metrics`.
+    pub(crate) fn process_dump(&self, id: u64) -> MetricsDump {
+        let mut dump = self.dump(id);
+        dump.merge(&Registry::global().dump(id));
+        dump
+    }
+}
+
+/// Whether `labels` carries every `(key, value)` pair of `wanted`.
+fn has_labels(labels: &[LabelDump], wanted: &[(&str, &str)]) -> bool {
+    wanted.iter().all(|(k, v)| labels.iter().any(|l| l.k == *k && l.v == *v))
 }
 
 /// One label of a dumped metric.
@@ -390,6 +410,24 @@ pub struct MetricsDump {
 }
 
 impl MetricsDump {
+    /// The sum of every counter named `name` whose labels include all of
+    /// `labels` (`&[]` sums the whole family); 0 when none matches.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        self.counters
+            .iter()
+            .filter(|c| c.name == name && has_labels(&c.labels, labels))
+            .map(|c| c.value)
+            .sum()
+    }
+
+    /// The sum of every gauge named `name` whose labels include all of
+    /// `labels`; `None` when none matches, so a missing or mislabelled
+    /// series never reads as 0.
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
+        let matching = self.gauges.iter().filter(|g| g.name == name && has_labels(&g.labels, labels));
+        matching.map(|g| g.value).reduce(|a, b| a + b)
+    }
+
     /// Folds `other` into `self`: counters and gauges add by
     /// (name, labels); histograms merge bucket-wise. Instruments only
     /// present in `other` are appended. This is how the router builds its
@@ -798,11 +836,29 @@ mod tests {
         r2.histogram("h", &[]).record(1_000);
         let mut merged = r1.dump(0);
         merged.merge(&r2.dump(0));
-        assert_eq!(merged.counters.iter().find(|c| c.name == "c").unwrap().value, 12);
-        assert_eq!(merged.counters.iter().find(|c| c.name == "only_here").unwrap().value, 1);
+        assert_eq!(merged.counter("c", &[]), 12);
+        assert_eq!(merged.counter("only_here", &[]), 1);
         let h = &merged.histograms.iter().find(|h| h.name == "h").unwrap().hist;
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 1_000);
+    }
+
+    #[test]
+    fn dump_lookups_sum_the_matching_label_sets() {
+        let registry = Registry::default();
+        registry.counter("clara_requests_total", &[("problem", "a"), ("status", "correct")]).add(2);
+        registry.counter("clara_requests_total", &[("problem", "b"), ("status", "correct")]).add(3);
+        registry.counter("clara_requests_total", &[("problem", "b"), ("status", "error")]).inc();
+        registry.gauge("clara_workers", &[]).set(4);
+        let dump = registry.dump(0);
+        assert_eq!(dump.counter("clara_requests_total", &[]), 6, "no labels sums the family");
+        assert_eq!(dump.counter("clara_requests_total", &[("status", "correct")]), 5);
+        assert_eq!(dump.counter("clara_requests_total", &[("problem", "b"), ("status", "error")]), 1);
+        assert_eq!(dump.counter("clara_requests_total", &[("problem", "c")]), 0);
+        assert_eq!(dump.counter("clara_missing_total", &[]), 0);
+        assert_eq!(dump.gauge("clara_workers", &[]), Some(4));
+        assert_eq!(dump.gauge("clara_workers", &[("shard", "0/1")]), None, "a label set nothing carries");
+        assert_eq!(dump.gauge("clara_missing", &[]), None);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! ← {"id":1,"status":"repaired","feedback":["In the return statement ..."],"cost":2,...}
 //! ```
 
-use serde::{Deserialize, Serialize};
-
-use crate::service::{ServiceStats, ShardStat};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 /// A feedback request: one student submission for one problem.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,6 +57,9 @@ pub enum Status {
 }
 
 impl Status {
+    /// Every status, in declaration order: `status as usize` indexes it.
+    pub(crate) const ALL: [Status; 4] = [Status::Correct, Status::Repaired, Status::NoRepair, Status::Error];
+
     /// The wire name of the status.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -149,67 +150,47 @@ impl Response {
     }
 }
 
-/// An operational-stats report: the payload of `GET /stats` and of NDJSON
-/// `{"id":…,"stats":true}` control lines. One report describes one serve
-/// process; fleet-wide numbers are aggregated client-side (the router and
-/// the benchmark sum the per-shard reports).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StatsReport {
-    /// Correlation id of the stats request (0 over HTTP).
-    pub id: u64,
-    /// This process's fleet position as `i/N` (`0/1` when unsharded).
-    pub shard: String,
-    /// Highest index-snapshot generation across the problem shards; bumps
-    /// on every online insertion.
-    pub snapshot_generation: u64,
-    /// Jobs currently waiting in the worker queue.
-    pub queue_depth: u64,
-    /// Worker threads serving this process.
-    pub workers: u64,
-    /// Result-cache hits since startup.
-    pub cache_hits: u64,
-    /// Result-cache misses since startup.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)`, 0 when idle.
-    pub cache_hit_rate: f64,
-    /// Jobs lost to handler panics.
-    pub worker_panics: u64,
-    /// Requests shed at the front door (worker queue full).
-    pub shed_requests: u64,
-    /// The monotonic service counters.
-    pub service: ServiceStats,
-    /// Per-problem request counts and index generations.
-    pub problems: Vec<ShardStat>,
-}
-
 /// A parsed incoming NDJSON line: either a feedback request or a control
 /// request.
 #[derive(Debug, Clone)]
 pub enum Incoming {
     /// A student submission to analyse.
     Feedback(Request),
-    /// A `{"id":…,"stats":true}` probe answered with a [`StatsReport`].
+    /// A `{"id":…,"stats":true}` probe answered with the process's
+    /// [`crate::obs::MetricsDump`].
     Stats {
-        /// Correlation id echoed in the report.
+        /// Correlation id echoed in the dump.
         id: u64,
     },
-    /// A `{"id":…,"metrics":true}` probe answered with a
-    /// [`crate::obs::MetricsDump`] (full-resolution histograms; what the
-    /// router merges into fleet-level views).
+    /// A `{"id":…,"metrics":true}` probe answered with the
+    /// [`crate::obs::MetricsDump`] that `GET /metrics` renders: on a router,
+    /// the fleet view merging every shard's dump.
     Metrics {
         /// Correlation id echoed in the dump.
         id: u64,
     },
 }
 
-/// The shape probed before full request parsing: any line carrying
-/// `"stats":true` or `"metrics":true` is a control request, whatever else
-/// it contains.
-#[derive(Debug, Deserialize)]
-struct ControlProbe {
-    id: Option<u64>,
-    stats: Option<bool>,
-    metrics: Option<bool>,
+/// Any object carrying `"stats":true` or `"metrics":true` is a control
+/// request, whatever else it contains; everything else must be a
+/// [`Request`]. Either way the line's JSON is decoded once.
+impl Deserialize for Incoming {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        if let Some(entries) = content.as_map() {
+            let flag =
+                |name: &str| entries.iter().any(|(key, value)| key == name && *value == Content::Bool(true));
+            if let Ok(id) = serde::field::<Option<u64>>(entries, "id") {
+                let id = id.unwrap_or(0);
+                if flag("stats") {
+                    return Ok(Incoming::Stats { id });
+                }
+                if flag("metrics") {
+                    return Ok(Incoming::Metrics { id });
+                }
+            }
+        }
+        Request::from_content(content).map(Incoming::Feedback)
+    }
 }
 
 /// Parses one NDJSON request line.
@@ -227,15 +208,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 ///
 /// Returns a human-readable description of the malformation.
 pub fn parse_incoming(line: &str) -> Result<Incoming, String> {
-    if let Ok(probe) = serde_json::from_str::<ControlProbe>(line) {
-        if probe.stats == Some(true) {
-            return Ok(Incoming::Stats { id: probe.id.unwrap_or(0) });
-        }
-        if probe.metrics == Some(true) {
-            return Ok(Incoming::Metrics { id: probe.id.unwrap_or(0) });
-        }
-    }
-    parse_request(line).map(Incoming::Feedback)
+    serde_json::from_str(line).map_err(|e| e.to_string())
 }
 
 /// Renders a response as one NDJSON line (no trailing newline; compact JSON
@@ -301,6 +274,33 @@ mod tests {
     }
 
     #[test]
+    fn feedback_lines_with_false_control_flags_are_requests() {
+        match parse_incoming(r#"{"id":3,"problem":"p","source":"s","stats":false,"metrics":false}"#).unwrap()
+        {
+            Incoming::Feedback(request) => assert_eq!(request.id, 3),
+            other => panic!("expected a feedback request, got {other:?}"),
+        }
+        // A true flag wins over everything else the line carries.
+        match parse_incoming(r#"{"id":4,"problem":"p","source":"s","metrics":true}"#).unwrap() {
+            Incoming::Metrics { id } => assert_eq!(id, 4),
+            other => panic!("expected a metrics request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn incoming_errors_read_like_request_errors() {
+        for line in
+            ["not json", "{\"id\":}", r#"{"problem":"p","source":"s"}"#, r#"{"id":1,"source":"s"}"#, "[1]"]
+        {
+            assert_eq!(
+                parse_incoming(line).unwrap_err(),
+                parse_request(line).unwrap_err(),
+                "one decode must keep the error text of {line}"
+            );
+        }
+    }
+
+    #[test]
     fn metrics_lines_parse_as_control_requests() {
         match parse_incoming(r#"{"id":5,"metrics":true}"#).unwrap() {
             Incoming::Metrics { id } => assert_eq!(id, 5),
@@ -311,32 +311,18 @@ mod tests {
 
     #[test]
     fn stats_reports_roundtrip() {
-        let report = StatsReport {
-            id: 4,
-            shard: "1/2".to_owned(),
-            snapshot_generation: 3,
-            queue_depth: 5,
-            workers: 2,
-            cache_hits: 10,
-            cache_misses: 30,
-            cache_hit_rate: 0.25,
-            worker_panics: 0,
-            shed_requests: 2,
-            service: ServiceStats { requests: 40, ..ServiceStats::default() },
-            problems: vec![ShardStat {
-                problem: "derivatives".to_owned(),
-                lang: "minipy".to_owned(),
-                requests: 40,
-                generation: 3,
-            }],
-        };
-        let line = serde_json::to_string(&report).unwrap();
+        // A stats reply is a registry dump on one NDJSON line.
+        let registry = crate::obs::Registry::default();
+        registry
+            .counter("clara_requests_total", &[("problem", "derivatives"), ("status", "correct")])
+            .add(40);
+        registry.gauge("clara_snapshot_generation", &[("problem", "derivatives"), ("shard", "1/2")]).set(3);
+        let line = serde_json::to_string(&registry.dump(4)).unwrap();
         assert!(!line.contains('\n'));
-        let back: StatsReport = serde_json::from_str(&line).unwrap();
-        assert_eq!(back.shard, "1/2");
-        assert_eq!(back.problems.len(), 1);
-        assert_eq!(back.problems[0].requests, 40);
-        assert_eq!(back.service.requests, 40);
+        let back: crate::obs::MetricsDump = serde_json::from_str(&line).unwrap();
+        assert_eq!(back.id, 4);
+        assert_eq!(back.gauge("clara_snapshot_generation", &[("shard", "1/2")]), Some(3));
+        assert_eq!(back.counter("clara_requests_total", &[("problem", "derivatives")]), 40);
     }
 
     #[test]

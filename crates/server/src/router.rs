@@ -25,21 +25,26 @@
 //!   [`REPLICATION_FACTOR`]) — serves the request;
 //! * **learns replicate**: a `learn` request is written to the owner *and*
 //!   its successor, so a later owner crash loses no learned solutions.
+//!
+//! The router counts in a [`Registry`] of its own: per-upstream forwards,
+//! errors, retries and `clara_forward_duration_us`, plus failovers,
+//! replicated learns, replication errors and sheds. Breaker states are
+//! gauges set just before each [`Router::stats_dump`]; `/metrics` adds
+//! every shard's dump to it ([`Router::metrics_dump`]).
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use clara_core::timing::{Stage, StageTimer};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
-use crate::obs::{self, render_prometheus, CounterDump, LabelDump, MetricsDump, Registry};
+use crate::obs::{self, Counter, Histogram, MetricsDump, Registry};
 use crate::pool::{admission_bound, PoolClosed, TrySubmitError, WorkerPool};
 use crate::protocol::{render_response, Request, Response};
-use crate::retry::{CircuitBreaker, RetryPolicy, SplitMix64};
+use crate::retry::{BreakerState, CircuitBreaker, RetryPolicy, SplitMix64};
 use crate::shard::{HashRing, REPLICATION_FACTOR};
 
 /// Router tuning knobs.
@@ -95,20 +100,29 @@ struct Upstream {
     /// same shard proceed in parallel.
     idle: Mutex<Vec<BufReader<TcpStream>>>,
     breaker: CircuitBreaker,
-    forwarded: AtomicU64,
-    errors: AtomicU64,
-    retries: AtomicU64,
+    /// `clara_router_forwarded_total{upstream}`: successful exchanges.
+    forwarded: Arc<Counter>,
+    /// `clara_router_upstream_errors_total{upstream}`: requests this shard
+    /// failed after every retry.
+    errors: Arc<Counter>,
+    /// `clara_router_retries_total{upstream}`: re-attempts beyond each
+    /// first try.
+    retries: Arc<Counter>,
+    /// `clara_forward_duration_us{upstream}`.
+    duration: Arc<Histogram>,
 }
 
 impl Upstream {
-    fn new(addr: String, config: &RouterConfig) -> Upstream {
+    fn new(addr: String, config: &RouterConfig, registry: &Registry) -> Upstream {
+        let labels = [("upstream", addr.as_str())];
         Upstream {
-            addr,
             idle: Mutex::new(Vec::new()),
             breaker: CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
-            forwarded: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
+            forwarded: registry.counter("clara_router_forwarded_total", &labels),
+            errors: registry.counter("clara_router_upstream_errors_total", &labels),
+            retries: registry.counter("clara_router_retries_total", &labels),
+            duration: registry.histogram("clara_forward_duration_us", &labels),
+            addr,
         }
     }
 
@@ -122,81 +136,60 @@ impl Upstream {
             idle.push(conn);
         }
     }
-}
 
-/// Stats payload of a router process (`GET /stats`, NDJSON `stats` probes).
-/// The `router` marker distinguishes it from a shard's `StatsReport`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RouterReport {
-    /// Correlation id of the stats request.
-    pub id: u64,
-    /// Always `true`: marks this process as a router.
-    pub router: bool,
-    /// Fleet size the ring was built for.
-    pub shards: u64,
-    /// Requests forwarded successfully since startup.
-    pub forwarded: u64,
-    /// Forwarding failures (upstream unreachable / broken exchange).
-    pub upstream_errors: u64,
-    /// Re-attempts after a failed exchange (beyond each first try).
-    pub retries: u64,
-    /// Requests served by a ring successor after the owner failed.
-    pub failovers: u64,
-    /// Learn requests successfully written to a second replica.
-    pub replicated_learns: u64,
-    /// Learn requests whose replica write failed (primary still answered).
-    pub replication_errors: u64,
-    /// Requests shed at the front door (forwarding queue full).
-    pub shed_requests: u64,
-    /// Per-upstream forwarding counts and breaker state.
-    pub upstreams: Vec<UpstreamStat>,
-}
-
-/// Per-upstream slice of a [`RouterReport`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct UpstreamStat {
-    /// The shard's NDJSON listen address.
-    pub addr: String,
-    /// Requests forwarded to this shard.
-    pub forwarded: u64,
-    /// Failed exchanges with this shard.
-    pub errors: u64,
-    /// Re-attempts against this shard.
-    pub retries: u64,
-    /// Circuit-breaker state: `closed`, `open` or `half-open`.
-    pub breaker: String,
-    /// Consecutive failures currently recorded by the breaker.
-    pub consecutive_failures: u64,
+    /// One exchange over a pooled (or fresh) connection whose answer line
+    /// must parse as a `T`. The connection returns to the pool only after a
+    /// clean round trip; any error — an answer the fleet cannot parse (e.g.
+    /// injected garbage) included — discards it, so the next attempt dials
+    /// fresh.
+    fn call<T: Deserialize>(
+        &self,
+        line: &str,
+        timeout: Duration,
+        pool_cap: usize,
+    ) -> io::Result<(String, T)> {
+        let timeout = timeout.max(Duration::from_millis(1));
+        let mut conn = match self.checkout() {
+            Some(conn) => conn,
+            None => BufReader::new(connect(&self.addr, timeout)?),
+        };
+        conn.get_ref().set_read_timeout(Some(timeout))?;
+        conn.get_ref().set_write_timeout(Some(timeout))?;
+        let answer = exchange(&mut conn, line)?;
+        let parsed = serde_json::from_str(&answer).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("unparseable upstream answer: {e}"))
+        })?;
+        self.checkin(conn, pool_cap);
+        Ok((answer, parsed))
+    }
 }
 
 type RouterJob = (Request, Box<dyn FnOnce(String) + Send>);
 
-/// Cross-upstream resilience counters.
-#[derive(Default)]
-struct RouterCounters {
-    failovers: AtomicU64,
-    replicated_learns: AtomicU64,
-    replication_errors: AtomicU64,
-    shed: AtomicU64,
-}
-
 /// A forwarding router over a fleet of shard processes.
 pub struct Router {
-    upstreams: Arc<Vec<Upstream>>,
-    ring: HashRing,
-    /// problem name → canonical language tag, from the problem catalog.
-    catalog: HashMap<String, String>,
-    counters: Arc<RouterCounters>,
+    forwarder: Arc<Forwarder>,
+    registry: Registry,
+    /// `clara_router_shed_total`: requests shed at the front door.
+    shed: Arc<Counter>,
     pool: WorkerPool<RouterJob>,
-    config: RouterConfig,
 }
 
 /// Everything a forwarding worker needs, shared across workers.
 struct Forwarder {
-    upstreams: Arc<Vec<Upstream>>,
+    upstreams: Vec<Upstream>,
     ring: HashRing,
+    /// problem name → canonical language tag, from the problem catalog.
     catalog: HashMap<String, String>,
-    counters: Arc<RouterCounters>,
+    /// `clara_router_failovers_total`: requests served by a ring successor
+    /// after the owner failed.
+    failovers: Arc<Counter>,
+    /// `clara_router_replicated_learns_total`: learns written to a second
+    /// replica.
+    replicated_learns: Arc<Counter>,
+    /// `clara_router_replication_errors_total`: learns whose replica write
+    /// failed (a replica still answered).
+    replication_errors: Arc<Counter>,
     config: RouterConfig,
 }
 
@@ -211,24 +204,25 @@ impl Router {
         catalog: impl IntoIterator<Item = (String, String)>,
         config: RouterConfig,
     ) -> Router {
-        let upstreams: Arc<Vec<Upstream>> =
-            Arc::new(addrs.into_iter().map(|addr| Upstream::new(addr, &config)).collect());
-        let ring = HashRing::new(upstreams.len());
-        let catalog: HashMap<String, String> = catalog.into_iter().collect();
-        let counters = Arc::new(RouterCounters::default());
+        let registry = Registry::default();
+        registry.gauge("clara_router_shards", &[]).set(addrs.len() as i64);
         let forwarder = Arc::new(Forwarder {
-            upstreams: Arc::clone(&upstreams),
-            ring: ring.clone(),
-            catalog: catalog.clone(),
-            counters: Arc::clone(&counters),
+            ring: HashRing::new(addrs.len()),
+            upstreams: addrs.into_iter().map(|addr| Upstream::new(addr, &config, &registry)).collect(),
+            catalog: catalog.into_iter().collect(),
+            failovers: registry.counter("clara_router_failovers_total", &[]),
+            replicated_learns: registry.counter("clara_router_replicated_learns_total", &[]),
+            replication_errors: registry.counter("clara_router_replication_errors_total", &[]),
             config,
         });
         let bound = admission_bound(config.workers, config.queue_capacity);
+        let worker = Arc::clone(&forwarder);
         let pool = WorkerPool::new(config.workers, bound, move |(request, reply): RouterJob| {
-            reply(forwarder.handle(request));
+            reply(worker.handle(request));
         });
         obs::install_stage_metrics();
-        Router { upstreams, ring, catalog, counters, pool, config }
+        let shed = registry.counter("clara_router_shed_total", &[]);
+        Router { forwarder, registry, shed, pool }
     }
 
     /// The shard index owning `request`'s problem×language key. The
@@ -236,13 +230,13 @@ impl Router {
     /// their indexes under canonical tags, and router and shard must hash
     /// identical keys.
     pub fn route(&self, request: &Request) -> usize {
-        self.ring.owner(&request.problem, canonical_lang(&self.catalog, request))
+        self.forwarder.replicas(request)[0]
     }
 
     /// The replica set for `request`'s key: owner first, then its distinct
     /// ring successors.
     pub fn replicas(&self, request: &Request) -> Vec<usize> {
-        self.ring.owners(&request.problem, canonical_lang(&self.catalog, request), REPLICATION_FACTOR)
+        self.forwarder.replicas(request)
     }
 
     /// Queues `request` for forwarding without blocking; `reply` receives
@@ -272,105 +266,61 @@ impl Router {
     /// Records a request shed at the front door (forwarding queue full), so
     /// overload shows up in `/stats`.
     pub fn note_shed(&self) {
-        self.counters.shed.fetch_add(1, Ordering::Relaxed);
+        self.shed.inc();
     }
 
-    /// The router's stats report.
-    pub fn report(&self, id: u64) -> RouterReport {
-        let upstreams: Vec<UpstreamStat> = self
-            .upstreams
-            .iter()
-            .map(|u| UpstreamStat {
-                addr: u.addr.clone(),
-                forwarded: u.forwarded.load(Ordering::Relaxed),
-                errors: u.errors.load(Ordering::Relaxed),
-                retries: u.retries.load(Ordering::Relaxed),
-                breaker: u.breaker.state().name().to_owned(),
-                consecutive_failures: u64::from(u.breaker.consecutive_failures()),
-            })
-            .collect();
-        RouterReport {
-            id,
-            router: true,
-            shards: self.upstreams.len() as u64,
-            forwarded: upstreams.iter().map(|u| u.forwarded).sum(),
-            upstream_errors: upstreams.iter().map(|u| u.errors).sum(),
-            retries: upstreams.iter().map(|u| u.retries).sum(),
-            failovers: self.counters.failovers.load(Ordering::Relaxed),
-            replicated_learns: self.counters.replicated_learns.load(Ordering::Relaxed),
-            replication_errors: self.counters.replication_errors.load(Ordering::Relaxed),
-            shed_requests: self.counters.shed.load(Ordering::Relaxed),
-            upstreams,
+    /// The router process's stats dump (`/stats`, `/health`, NDJSON
+    /// `stats` probes): its registry, with every upstream's breaker state
+    /// set just now, merged with the global stage histograms. A breaker is
+    /// one-hot `clara_router_breaker{upstream,state}` plus its consecutive
+    /// failures in `clara_router_breaker_failures{upstream}`.
+    pub fn stats_dump(&self, id: u64) -> MetricsDump {
+        for upstream in &self.forwarder.upstreams {
+            let current = upstream.breaker.state();
+            for state in [BreakerState::Closed, BreakerState::HalfOpen, BreakerState::Open] {
+                self.registry
+                    .gauge("clara_router_breaker", &[("upstream", &upstream.addr), ("state", state.name())])
+                    .set(i64::from(state == current));
+            }
+            self.registry
+                .gauge("clara_router_breaker_failures", &[("upstream", &upstream.addr)])
+                .set(i64::from(upstream.breaker.consecutive_failures()));
         }
+        self.registry.process_dump(id)
     }
 
-    /// The stats report as one JSON line.
-    pub fn stats_line(&self, id: u64) -> String {
-        serde_json::to_string(&self.report(id)).expect("report serialization is infallible")
-    }
-
-    /// The fleet-level metrics view: this process's registry, the router's
-    /// own resilience counters, and every reachable shard's dump merged in
-    /// (histograms add bucket-wise — the shared fixed layout makes the
-    /// merge exact). Unreachable shards are logged and skipped; the view
-    /// stays useful in a degraded fleet.
+    /// The fleet-level metrics view (`GET /metrics`, NDJSON `metrics`
+    /// probes): [`Router::stats_dump`] with every reachable shard's dump
+    /// merged in (histograms add bucket-wise — the shared fixed layout
+    /// makes the merge exact). Unreachable shards are logged and skipped;
+    /// the view stays useful in a degraded fleet.
     pub fn metrics_dump(&self, id: u64) -> MetricsDump {
-        let mut dump = Registry::global().dump(id);
-        let report = self.report(id);
-        let fleet: [(&str, u64); 6] = [
-            ("clara_router_forwarded_total", report.forwarded),
-            ("clara_router_upstream_errors_total", report.upstream_errors),
-            ("clara_router_retries_total", report.retries),
-            ("clara_router_failovers_total", report.failovers),
-            ("clara_router_replicated_learns_total", report.replicated_learns),
-            ("clara_router_shed_total", report.shed_requests),
-        ];
-        for (name, value) in fleet {
-            dump.counters.push(CounterDump { name: name.to_owned(), labels: Vec::new(), value });
-        }
-        for upstream_stat in &report.upstreams {
-            dump.counters.push(CounterDump {
-                name: "clara_router_upstream_forwarded_total".to_owned(),
-                labels: vec![LabelDump { k: "upstream".to_owned(), v: upstream_stat.addr.clone() }],
-                value: upstream_stat.forwarded,
-            });
-        }
+        let mut dump = self.stats_dump(id);
         // Each probe gets the configured per-shard timeout, clipped to
         // whatever is left of the total budget; once the budget is spent
         // the remaining shards are skipped outright. Without the cap a
         // fleet of N wedged shards held every scrape for N × timeout.
         let probe_start = Instant::now();
-        for upstream in self.upstreams.iter() {
-            let remaining = self.config.metrics_probe_budget.saturating_sub(probe_start.elapsed());
-            let timeout = self.config.metrics_probe_timeout.min(remaining);
+        let config = &self.forwarder.config;
+        for upstream in &self.forwarder.upstreams {
+            let remaining = config.metrics_probe_budget.saturating_sub(probe_start.elapsed());
+            let timeout = config.metrics_probe_timeout.min(remaining);
             if timeout.is_zero() {
                 obs::log("warn", "metrics_probe_budget_exhausted")
                     .str_field("upstream", &upstream.addr)
                     .emit();
                 continue;
             }
-            match probe_upstream_metrics(upstream, timeout, self.config.pool_per_upstream) {
-                Ok(shard_dump) => dump.merge(&shard_dump),
+            let probe = r#"{"id":0,"metrics":true}"#;
+            match upstream.call::<MetricsDump>(probe, timeout, config.pool_per_upstream) {
+                Ok((_, shard_dump)) => dump.merge(&shard_dump),
                 Err(e) => obs::log("warn", "metrics_probe_failed")
                     .str_field("upstream", &upstream.addr)
                     .str_field("error", &e.to_string())
                     .emit(),
             }
         }
-        dump.metrics_dump = true;
-        dump.id = id;
         dump
-    }
-
-    /// The merged metrics dump as one JSON line (NDJSON `{"metrics":true}`).
-    pub fn metrics_line(&self, id: u64) -> String {
-        serde_json::to_string(&self.metrics_dump(id))
-            .unwrap_or_else(|e| render_response(&Response::error(id, format!("metrics failed: {e}"))))
-    }
-
-    /// The merged metrics dump in Prometheus text format (`GET /metrics`).
-    pub fn metrics_text(&self) -> String {
-        render_prometheus(&self.metrics_dump(0))
     }
 
     /// Closes the forwarding queue and joins the workers.
@@ -384,6 +334,11 @@ fn canonical_lang<'a>(catalog: &'a HashMap<String, String>, request: &'a Request
 }
 
 impl Forwarder {
+    /// See [`Router::replicas`].
+    fn replicas(&self, request: &Request) -> Vec<usize> {
+        self.ring.owners(&request.problem, canonical_lang(&self.catalog, request), REPLICATION_FACTOR)
+    }
+
     /// Forwards one request to its replica set and renders the response
     /// line. Reads try the owner then fail over to successors; learns are
     /// written to every replica. The router is an ingress: a request
@@ -393,8 +348,7 @@ impl Forwarder {
     fn handle(&self, mut request: Request) -> String {
         let trace = obs::trace_or_mint(request.trace.as_deref());
         request.trace = Some(trace.clone());
-        let replicas =
-            self.ring.owners(&request.problem, canonical_lang(&self.catalog, &request), REPLICATION_FACTOR);
+        let replicas = self.replicas(&request);
         let line = serde_json::to_string(&request).expect("request serialization is infallible");
         let start = Instant::now();
         // Jitter stream is deterministic per (router seed, request id).
@@ -452,7 +406,7 @@ impl Forwarder {
             match self.exchange_with_retries(index, line, start, rng, trace) {
                 Ok(response) => {
                     if rank > 0 {
-                        self.counters.failovers.fetch_add(1, Ordering::Relaxed);
+                        self.failovers.inc();
                         obs::log("warn", "failover")
                             .str_field("trace_id", trace)
                             .str_field("upstream", &self.upstreams[index].addr)
@@ -494,11 +448,11 @@ impl Forwarder {
             match exchanged {
                 Ok(response) => {
                     if replicating {
-                        self.counters.replicated_learns.fetch_add(1, Ordering::Relaxed);
+                        self.replicated_learns.inc();
                     }
                     if first_success.is_none() {
                         if rank > 0 {
-                            self.counters.failovers.fetch_add(1, Ordering::Relaxed);
+                            self.failovers.inc();
                             obs::log("warn", "failover")
                                 .str_field("trace_id", trace)
                                 .str_field("upstream", &self.upstreams[index].addr)
@@ -510,7 +464,7 @@ impl Forwarder {
                 }
                 Err(e) => {
                     if first_success.is_some() {
-                        self.counters.replication_errors.fetch_add(1, Ordering::Relaxed);
+                        self.replication_errors.inc();
                         obs::log("warn", "replication_failed")
                             .str_field("trace_id", trace)
                             .str_field("upstream", &self.upstreams[index].addr)
@@ -552,7 +506,7 @@ impl Forwarder {
             };
             if attempt > 0 {
                 std::thread::sleep(policy.backoff(attempt, rng).min(remaining));
-                upstream.retries.fetch_add(1, Ordering::Relaxed);
+                upstream.retries.inc();
                 obs::log("info", "retry")
                     .str_field("trace_id", trace)
                     .str_field("upstream", &upstream.addr)
@@ -568,13 +522,11 @@ impl Forwarder {
             // exchange (e.g. an injected drop) can't eat the whole deadline.
             let attempt_timeout = remaining / (policy.max_attempts - attempt);
             let exchange_timer = Instant::now();
-            match self.exchange_once(upstream, line, attempt_timeout) {
-                Ok(response) => {
+            match upstream.call::<Response>(line, attempt_timeout, self.config.pool_per_upstream) {
+                Ok((response, _)) => {
                     upstream.breaker.on_success();
-                    upstream.forwarded.fetch_add(1, Ordering::Relaxed);
-                    Registry::global()
-                        .histogram("clara_forward_duration_us", &[("upstream", &upstream.addr)])
-                        .record(exchange_timer.elapsed().as_micros() as u64);
+                    upstream.forwarded.inc();
+                    upstream.duration.record(exchange_timer.elapsed().as_micros() as u64);
                     return Ok(response);
                 }
                 Err(e) => {
@@ -583,54 +535,9 @@ impl Forwarder {
                 }
             }
         }
-        upstream.errors.fetch_add(1, Ordering::Relaxed);
+        upstream.errors.inc();
         Err(last_error.unwrap_or_else(|| io::Error::other("forwarding failed")))
     }
-
-    /// One request/response exchange over a pooled (or fresh) connection.
-    /// The connection returns to the pool only after a clean round trip; any
-    /// error discards it so the next attempt dials fresh.
-    fn exchange_once(&self, upstream: &Upstream, line: &str, timeout: Duration) -> io::Result<String> {
-        let timeout = timeout.max(Duration::from_millis(1));
-        let mut conn = match upstream.checkout() {
-            Some(conn) => conn,
-            None => BufReader::new(connect(&upstream.addr, timeout)?),
-        };
-        conn.get_ref().set_read_timeout(Some(timeout))?;
-        conn.get_ref().set_write_timeout(Some(timeout))?;
-        match exchange(&mut conn, line) {
-            Ok(response) => {
-                // A response the fleet can't parse (e.g. injected garbage)
-                // is a failed exchange, not a payload to forward.
-                if serde_json::from_str::<Response>(&response).is_err() {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "unparseable upstream response"));
-                }
-                upstream.checkin(conn, self.config.pool_per_upstream);
-                Ok(response)
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// One `{"metrics":true}` probe against a shard, over a pooled (or fresh)
-/// connection.
-fn probe_upstream_metrics(
-    upstream: &Upstream,
-    timeout: Duration,
-    pool_cap: usize,
-) -> io::Result<MetricsDump> {
-    let mut conn = match upstream.checkout() {
-        Some(conn) => conn,
-        None => BufReader::new(connect(&upstream.addr, timeout)?),
-    };
-    conn.get_ref().set_read_timeout(Some(timeout))?;
-    conn.get_ref().set_write_timeout(Some(timeout))?;
-    let response = exchange(&mut conn, r#"{"id":0,"metrics":true}"#)?;
-    let dump: MetricsDump = serde_json::from_str(&response)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("unparseable metrics dump: {e}")))?;
-    upstream.checkin(conn, pool_cap);
-    Ok(dump)
 }
 
 fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
@@ -655,7 +562,7 @@ fn exchange(reader: &mut BufReader<TcpStream>, line: &str) -> io::Result<String>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::protocol::parse_request;
     use std::net::TcpListener;
@@ -672,7 +579,7 @@ mod tests {
         }
     }
 
-    fn fast_config(workers: usize, queue_capacity: usize) -> RouterConfig {
+    pub(crate) fn fast_config(workers: usize, queue_capacity: usize) -> RouterConfig {
         RouterConfig {
             workers,
             queue_capacity,
@@ -688,7 +595,7 @@ mod tests {
 
     /// A fake shard: accepts connections, echoes every request line back as
     /// an error response tagged with the shard's name.
-    fn fake_shard(name: &'static str) -> String {
+    pub(crate) fn fake_shard(name: &'static str) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
@@ -743,9 +650,8 @@ mod tests {
         };
         let router = Router::new(addrs, catalog, config);
         let start = Instant::now();
-        let line = router.metrics_line(7);
+        let dump = router.metrics_dump(7);
         let elapsed = start.elapsed();
-        let dump: MetricsDump = serde_json::from_str(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
         assert!(dump.metrics_dump);
         assert_eq!(dump.id, 7);
         assert!(
@@ -779,14 +685,19 @@ mod tests {
             );
         }
 
-        let report = router.report(7);
-        assert!(report.router);
+        let report = router.stats_dump(7);
         assert_eq!(report.id, 7);
-        assert_eq!(report.shards, 2);
-        assert_eq!(report.forwarded, 2);
-        assert_eq!(report.upstream_errors, 0);
-        assert_eq!(report.failovers, 0);
-        assert!(report.upstreams.iter().all(|u| u.breaker == "closed"));
+        assert_eq!(report.gauge("clara_router_shards", &[]), Some(2), "a router's dump names its fleet size");
+        assert_eq!(report.counter("clara_router_forwarded_total", &[]), 2);
+        for family in ["clara_router_upstream_errors_total", "clara_router_failovers_total"] {
+            assert!(report.counters.iter().any(|c| c.name == family), "{family} is exported");
+            assert_eq!(report.counter(family, &[]), 0, "{family}");
+        }
+        assert_eq!(
+            report.gauge("clara_router_breaker", &[("state", "closed")]),
+            Some(2),
+            "every breaker closed"
+        );
     }
 
     #[test]
@@ -816,9 +727,12 @@ mod tests {
         let response: Response = serde_json::from_str(&line).unwrap();
         assert_eq!(response.id, 9);
         assert!(response.error.as_deref().unwrap_or("").contains("unreachable"), "{line}");
-        let report = router.report(0);
-        assert_eq!(report.upstream_errors, 1);
-        assert!(report.retries >= 1, "a failed exchange must be retried before giving up");
+        let report = router.stats_dump(0);
+        assert_eq!(report.counter("clara_router_upstream_errors_total", &[]), 1);
+        assert!(
+            report.counter("clara_router_retries_total", &[]) >= 1,
+            "a failed exchange must be retried before giving up"
+        );
     }
 
     #[test]
@@ -849,11 +763,11 @@ mod tests {
                 response.error.as_deref().unwrap_or("").contains("answered by survivor"),
                 "the live shard must answer: {line}"
             );
-            let report = router.report(0);
+            let failovers = router.stats_dump(0).counter("clara_router_failovers_total", &[]);
             if owner_is_dead {
-                assert_eq!(report.failovers, 1, "successor served: counts as failover");
+                assert_eq!(failovers, 1, "successor served: counts as failover");
             } else {
-                assert_eq!(report.failovers, 0, "owner served: no failover");
+                assert_eq!(failovers, 0, "owner served: no failover");
             }
         }
     }
@@ -867,10 +781,16 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         router.submit(learn, Box::new(move |line| tx.send(line).unwrap())).unwrap();
         rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        let report = router.report(0);
-        assert_eq!(report.forwarded, 2, "learn must reach both replicas");
-        assert_eq!(report.replicated_learns, 1);
-        assert!(report.upstreams.iter().all(|u| u.forwarded == 1), "{report:?}");
+        let report = router.stats_dump(0);
+        assert_eq!(report.counter("clara_router_forwarded_total", &[]), 2, "learn must reach both replicas");
+        assert_eq!(report.counter("clara_router_replicated_learns_total", &[]), 1);
+        let per_upstream: Vec<u64> = report
+            .counters
+            .iter()
+            .filter(|c| c.name == "clara_router_forwarded_total")
+            .map(|c| c.value)
+            .collect();
+        assert_eq!(per_upstream, vec![1, 1], "{report:?}");
     }
 
     #[test]
@@ -886,9 +806,9 @@ mod tests {
             router.submit(request(id, "p"), Box::new(move |line| tx.send(line).unwrap())).unwrap();
             rx.recv_timeout(Duration::from_secs(30)).unwrap();
         }
-        let report = router.report(0);
-        assert_eq!(report.upstreams[0].breaker, "open", "{report:?}");
-        assert!(report.upstreams[0].consecutive_failures >= 2);
+        let report = router.stats_dump(0);
+        assert_eq!(report.gauge("clara_router_breaker", &[("state", "open")]), Some(1), "{report:?}");
+        assert!(report.gauge("clara_router_breaker_failures", &[]) >= Some(2));
     }
 
     #[test]
@@ -903,19 +823,20 @@ mod tests {
         // The fake shard answers the `{"metrics":true}` probe with a plain
         // error response, not a dump: aggregation must degrade to the
         // router's own fleet counters instead of failing the request.
-        let line = router.metrics_line(3);
-        let dump: MetricsDump = serde_json::from_str(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let dump = router.metrics_dump(3);
         assert!(dump.metrics_dump);
         assert_eq!(dump.id, 3);
-        let forwarded =
-            dump.counters.iter().find(|c| c.name == "clara_router_forwarded_total").expect("fleet counter");
-        assert!(forwarded.value >= 1, "{forwarded:?}");
+        let forwarded = dump.counter("clara_router_forwarded_total", &[]);
+        assert!(forwarded >= 1, "{dump:?}");
         assert!(
-            dump.counters.iter().any(|c| c.name == "clara_router_upstream_forwarded_total"),
+            dump.counters
+                .iter()
+                .any(|c| c.name == "clara_router_forwarded_total"
+                    && c.labels.iter().any(|l| l.k == "upstream")),
             "per-upstream counters present"
         );
 
-        let text = router.metrics_text();
+        let text = crate::obs::render_prometheus(&router.metrics_dump(0));
         assert!(text.contains("# TYPE clara_router_forwarded_total counter"), "{text}");
     }
 }

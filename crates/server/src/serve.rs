@@ -7,12 +7,17 @@
 //! ballooning memory.
 //! Every submitted request is answered exactly once: if its handler panics,
 //! the reply still goes out as an internal error.
+//!
+//! The server counts in its service's registry: sheds as they happen, and
+//! queue depth, worker count and worker panics as gauges set just before
+//! each [`Server::stats_dump`], the one dump behind `/stats`, `/health` and
+//! `/metrics`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::obs::{Counter, MetricsDump};
 use crate::pool::{admission_bound, PoolClosed, TrySubmitError, WorkerPool};
-use crate::protocol::{Request, Response, StatsReport};
+use crate::protocol::{Request, Response};
 use crate::service::FeedbackService;
 
 /// Worker-pool sizing of a [`Server`].
@@ -82,7 +87,8 @@ impl Drop for Reply {
 pub struct Server {
     service: Arc<FeedbackService>,
     pool: WorkerPool<Job>,
-    shed: AtomicU64,
+    /// `clara_shed_total`.
+    shed: Arc<Counter>,
 }
 
 impl Server {
@@ -96,12 +102,8 @@ impl Server {
             let reply = Reply::new(&request, callback);
             reply.send(handler_service.handle(&request));
         });
-        Server { service, pool, shed: AtomicU64::new(0) }
-    }
-
-    /// The underlying service (for stats and persistence).
-    pub fn service(&self) -> &Arc<FeedbackService> {
-        &self.service
+        let shed = service.registry().counter("clara_shed_total", &[]);
+        Server { service, pool, shed }
     }
 
     /// Enqueues a request; `on_response` runs on a worker thread when the
@@ -141,38 +143,20 @@ impl Server {
         self.service.handle(request)
     }
 
-    /// Number of requests whose handler panicked; each was answered with an
-    /// internal error, and the workers survive.
-    pub fn panic_count(&self) -> u64 {
-        self.pool.panic_count()
-    }
-
     /// Records a request shed at the front door (queue full), so overload
     /// shows up in `/stats`.
     pub fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.shed.inc();
     }
 
-    /// Builds the operational-stats report served by `GET /stats` and the
-    /// NDJSON `{"stats":true}` control request.
-    pub fn stats_report(&self, id: u64) -> StatsReport {
-        let service = self.service.stats();
-        let (hits, misses) = self.service.cache_counters();
-        let probes = hits + misses;
-        StatsReport {
-            id,
-            shard: self.service.shard_spec().to_string(),
-            snapshot_generation: self.service.snapshot_generation(),
-            queue_depth: self.pool.queued(),
-            workers: self.pool.worker_count() as u64,
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_hit_rate: if probes == 0 { 0.0 } else { hits as f64 / probes as f64 },
-            worker_panics: self.pool.panic_count(),
-            shed_requests: self.shed.load(Ordering::Relaxed),
-            service,
-            problems: self.service.shard_stats(),
-        }
+    /// This process's stats dump: the service's registry, with the pool's
+    /// live gauges set just now, merged with the global stage histograms.
+    pub fn stats_dump(&self, id: u64) -> MetricsDump {
+        let registry = self.service.registry();
+        registry.gauge("clara_queue_depth", &[]).set(self.pool.queued() as i64);
+        registry.gauge("clara_workers", &[]).set(self.pool.worker_count() as i64);
+        registry.gauge("clara_worker_panics", &[]).set(self.pool.panic_count() as i64);
+        registry.process_dump(id)
     }
 
     /// Drains the queue and joins the workers.
@@ -251,8 +235,8 @@ mod tests {
         let mut responses = Vec::new();
         let mut stats = Vec::new();
         for line in text.lines() {
-            if line.contains("\"snapshot_generation\"") {
-                stats.push(serde_json::from_str::<StatsReport>(line).expect(line));
+            if line.contains("\"metrics_dump\":true") {
+                stats.push(serde_json::from_str::<MetricsDump>(line).expect(line));
             } else {
                 responses.push(serde_json::from_str::<Response>(line).expect(line));
             }
@@ -265,11 +249,11 @@ mod tests {
         let by_id = |id: u64| responses.iter().find(|r| r.id == id).unwrap();
         assert_eq!(by_id(2).status, crate::protocol::Status::Correct);
         assert_eq!(by_id(0).status, crate::protocol::Status::Error);
-        // The stats control line got a report with its id echoed.
+        // The stats control line got a dump with its id echoed.
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].id, 77);
-        assert_eq!(stats[0].workers, 2);
-        assert_eq!(stats[0].problems.len(), 1);
+        assert_eq!(stats[0].gauge("clara_workers", &[]), Some(2));
+        assert_eq!(stats[0].gauges.iter().filter(|g| g.name == "clara_snapshot_generation").count(), 1);
     }
 
     #[test]
@@ -376,7 +360,7 @@ mod tests {
         let mut reply = String::new();
         stream.read_to_string(&mut reply).unwrap();
         assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
-        assert!(reply.contains("\"requests\""), "{reply}");
+        assert!(reply.contains("\"clara_requests_total\""), "{reply}");
 
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(stream, "GET /stats HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
@@ -384,10 +368,13 @@ mod tests {
         stream.read_to_string(&mut reply).unwrap();
         assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
         let json = reply.split("\r\n\r\n").nth(1).unwrap();
-        let report: StatsReport = serde_json::from_str(json).unwrap();
-        assert_eq!(report.shard, "0/1");
-        assert_eq!(report.problems.len(), 1);
-        assert!(report.service.requests >= 1, "the repair above is counted");
+        let report: MetricsDump = serde_json::from_str(json).unwrap();
+        assert_eq!(
+            report.gauge("clara_snapshot_generation", &[("problem", "derivatives"), ("shard", "0/1")]),
+            Some(0)
+        );
+        assert_eq!(report.gauges.iter().filter(|g| g.name == "clara_snapshot_generation").count(), 1);
+        assert!(report.counter("clara_requests_total", &[]) >= 1, "the repair above is counted");
 
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(stream, "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
@@ -496,13 +483,20 @@ mod tests {
         };
         let _ = server.handle_sync(&request);
         let _ = server.handle_sync(&request);
-        let report = server.stats_report(5);
+        server.note_shed();
+        let report = server.stats_dump(5);
         assert_eq!(report.id, 5);
-        assert_eq!(report.service.requests, 2);
-        assert_eq!(report.cache_hits, 1);
-        assert!(report.cache_hit_rate > 0.0 && report.cache_hit_rate < 1.0);
-        assert_eq!(report.queue_depth, 0);
-        assert_eq!(report.problems[0].requests, 2);
+        assert_eq!(report.counter("clara_requests_total", &[]), 2);
+        assert_eq!(report.counter("clara_cache_hits_total", &[]), 1);
+        assert_eq!(report.counter("clara_shed_total", &[]), 1);
+        assert_eq!(report.gauge("clara_queue_depth", &[]), Some(0));
+        assert_eq!(report.gauge("clara_worker_panics", &[]), Some(0));
+        assert_eq!(report.gauge("clara_workers", &[]), Some(1));
+        assert_eq!(report.counter("clara_requests_total", &[("problem", "derivatives")]), 2);
+        assert!(
+            report.histograms.iter().any(|h| h.name == "clara_stage_duration_us"),
+            "the global stage histograms are merged in"
+        );
     }
 
     #[test]

@@ -20,21 +20,24 @@
 //! addressable and ages out of the LRU — no scan, no epoch bookkeeping.
 //! Concurrent duplicates of a submission that missed the cache share one
 //! computation through single-flight coalescing.
+//!
+//! The service counts everything in a [`Registry`] of its own, whose
+//! instrument handles it resolves once at construction: a request only
+//! increments handles. `/stats`, `/health` and `/metrics` are views of that
+//! registry merged with the global stage histograms.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 
 use clara_core::timing::{self, Stage, StageTimer};
-use clara_core::{frontend, ClaraConfig};
+use clara_core::{frontend, ClaraConfig, RepairFailure, RepairResult};
 use clara_corpus::Problem;
 use clara_model::frontend::{Lang, ParsedSubmission};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::StripedCache;
-use crate::obs::{self, Registry};
+use crate::obs::{self, Counter, Gauge, Histogram, Registry};
 use crate::protocol::{Request, Response, Status};
 use crate::shard::ShardSpec;
 use crate::store::ClusterStore;
@@ -74,63 +77,73 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Monotonic service counters, exposed via `GET /health`, `GET /stats` and
-/// the benchmark report.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServiceStats {
-    /// Requests handled (including malformed ones).
-    pub requests: u64,
-    /// Requests answered from the result cache, including a duplicate that
-    /// found its outcome cached only after it missed the first probe.
-    pub cache_hits: u64,
-    /// Concurrent duplicates that waited for an in-flight computation
-    /// instead of recomputing it (single-flight coalescing).
-    pub coalesced: u64,
-    /// Requests that ran the repair pipeline and produced a repair.
-    pub repaired: u64,
-    /// Requests whose submission was already correct.
-    pub correct: u64,
-    /// Analysable submissions for which no repair was found.
-    pub no_repair: u64,
-    /// Submissions rejected (syntax errors, unsupported features, unknown
-    /// problems, malformed requests).
-    pub errors: u64,
-    /// Correct submissions inserted into the cluster index online (each
-    /// insertion publishes a new index snapshot).
-    pub learned: u64,
-    /// Repairs that consulted the candidate retrieval index (pre-search).
-    pub index_retrievals: u64,
-    /// Retrievals that fell back to the full candidate scan (low overlap
-    /// confidence, or the shortlist produced no repair).
-    pub index_fallbacks: u64,
+/// The service's registry and its instrument handles, resolved once.
+struct ServiceMetrics {
+    registry: Registry,
+    /// `clara_requests_total`: a row per loaded problem in shard order, then
+    /// the `unknown` row, each indexed by `status as usize`.
+    requests: Vec<[Arc<Counter>; 4]>,
+    durations: [Arc<Histogram>; 4],
+    /// Requests answered from the result cache, at the first probe or at a
+    /// flight leader's re-check.
+    cache_hits: Arc<Counter>,
+    coalesced: Arc<Counter>,
+    learned: Arc<Counter>,
+    /// By reason: `syntax`, `unsupported`.
+    learn_refused: [Arc<Counter>; 2],
+    /// `clara_repair_failures_total{reason}`, one per [`RepairFailure`].
+    no_matching_control_flow: Arc<Counter>,
+    no_feasible_repair: Arc<Counter>,
+    solver_budget_exhausted: Arc<Counter>,
+    /// `clara_index_retrievals_total{outcome}`, one per outcome.
+    shortlisted: Arc<Counter>,
+    full_scan: Arc<Counter>,
+    fallback: Arc<Counter>,
+    candidates: Arc<Histogram>,
+    /// One per shard, set by every learn.
+    generations: Vec<Arc<Gauge>>,
 }
 
-/// Per-problem counters for the stats endpoints.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardStat {
-    /// Problem name.
-    pub problem: String,
-    /// Language of the problem's submissions.
-    pub lang: String,
-    /// Requests routed to this problem shard.
-    pub requests: u64,
-    /// Snapshot generation of the problem's cluster index (bumps on every
-    /// online insertion).
-    pub generation: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    requests: AtomicU64,
-    cache_hits: AtomicU64,
-    coalesced: AtomicU64,
-    repaired: AtomicU64,
-    correct: AtomicU64,
-    no_repair: AtomicU64,
-    errors: AtomicU64,
-    learned: AtomicU64,
-    index_retrievals: AtomicU64,
-    index_fallbacks: AtomicU64,
+impl ServiceMetrics {
+    fn new(problems: &[&str], shard: ShardSpec) -> ServiceMetrics {
+        let registry = Registry::default();
+        let shard = shard.to_string();
+        let failure =
+            |f: RepairFailure| registry.counter("clara_repair_failures_total", &[("reason", f.as_str())]);
+        let retrieval = |outcome| registry.counter("clara_index_retrievals_total", &[("outcome", outcome)]);
+        ServiceMetrics {
+            requests: problems
+                .iter()
+                .chain(&["unknown"])
+                .map(|p| {
+                    Status::ALL.map(|status| {
+                        registry
+                            .counter("clara_requests_total", &[("problem", p), ("status", status.as_str())])
+                    })
+                })
+                .collect(),
+            durations: Status::ALL.map(|status| {
+                registry.histogram("clara_request_duration_us", &[("status", status.as_str())])
+            }),
+            cache_hits: registry.counter("clara_cache_hits_total", &[]),
+            coalesced: registry.counter("clara_coalesced_total", &[]),
+            learned: registry.counter("clara_learned_total", &[]),
+            learn_refused: ["syntax", "unsupported"]
+                .map(|reason| registry.counter("clara_learn_refused_total", &[("reason", reason)])),
+            no_matching_control_flow: failure(RepairFailure::NoMatchingControlFlow),
+            no_feasible_repair: failure(RepairFailure::NoFeasibleRepair),
+            solver_budget_exhausted: failure(RepairFailure::SolverBudgetExhausted),
+            shortlisted: retrieval("shortlisted"),
+            full_scan: retrieval("full_scan"),
+            fallback: retrieval("fallback"),
+            candidates: registry.histogram("clara_index_candidates_examined", &[]),
+            generations: problems
+                .iter()
+                .map(|p| registry.gauge("clara_snapshot_generation", &[("problem", p), ("shard", &shard)]))
+                .collect(),
+            registry,
+        }
+    }
 }
 
 /// The cached portion of a response (everything except per-request fields).
@@ -263,7 +276,6 @@ struct ProblemShard {
     problem: Problem,
     current: RwLock<Arc<Snapshot>>,
     write: Mutex<()>,
-    requests: AtomicU64,
 }
 
 impl ProblemShard {
@@ -285,7 +297,7 @@ pub struct FeedbackService {
     by_problem: HashMap<String, usize>,
     cache: StripedCache<CachedOutcome>,
     flights: Flights,
-    counters: Counters,
+    metrics: ServiceMetrics,
     config: ServiceConfig,
 }
 
@@ -298,10 +310,11 @@ impl FeedbackService {
                 problem: store.problem().clone(),
                 current: RwLock::new(Arc::new(Snapshot { generation: 0, store })),
                 write: Mutex::new(()),
-                requests: AtomicU64::new(0),
             })
             .collect();
         let by_problem = shards.iter().enumerate().map(|(i, s)| (s.problem.name.to_owned(), i)).collect();
+        let names: Vec<&str> = shards.iter().map(|s| s.problem.name).collect();
+        let metrics = ServiceMetrics::new(&names, config.shard);
         // Stage timers in the core pipeline feed the process-wide latency
         // histograms from here on.
         obs::install_stage_metrics();
@@ -310,7 +323,7 @@ impl FeedbackService {
             by_problem,
             cache: StripedCache::new(config.cache_capacity, config.cache_stripes),
             flights: Flights::default(),
-            counters: Counters::default(),
+            metrics,
             config,
         }
     }
@@ -320,44 +333,13 @@ impl FeedbackService {
         self.shards.iter().map(|s| &s.problem).collect()
     }
 
-    /// This process's position in the fleet.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.config.shard
-    }
-
-    /// Snapshot of the service counters.
-    pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            coalesced: self.counters.coalesced.load(Ordering::Relaxed),
-            repaired: self.counters.repaired.load(Ordering::Relaxed),
-            correct: self.counters.correct.load(Ordering::Relaxed),
-            no_repair: self.counters.no_repair.load(Ordering::Relaxed),
-            errors: self.counters.errors.load(Ordering::Relaxed),
-            learned: self.counters.learned.load(Ordering::Relaxed),
-            index_retrievals: self.counters.index_retrievals.load(Ordering::Relaxed),
-            index_fallbacks: self.counters.index_fallbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Per-problem request counts and index generations.
-    pub fn shard_stats(&self) -> Vec<ShardStat> {
-        self.shards
-            .iter()
-            .map(|shard| ShardStat {
-                problem: shard.problem.name.to_owned(),
-                lang: shard.problem.lang.to_string(),
-                requests: shard.requests.load(Ordering::Relaxed),
-                generation: shard.generation(),
-            })
-            .collect()
-    }
-
-    /// The highest index-snapshot generation across the problem shards
-    /// (0 until the first online insertion).
-    pub fn snapshot_generation(&self) -> u64 {
-        self.shards.iter().map(ProblemShard::generation).max().unwrap_or(0)
+    /// Everything the service counts: requests by problem and status,
+    /// request latencies, cache hits, coalesced duplicates, learns and
+    /// refused learns, repair failures, retrieval outcomes and each
+    /// problem's snapshot generation. A [`crate::Server`] adds its queue,
+    /// worker and shed instruments here too.
+    pub fn registry(&self) -> &Registry {
+        &self.metrics.registry
     }
 
     /// Persists every shard's cluster index under `dir`.
@@ -375,39 +357,34 @@ impl FeedbackService {
     /// Handles one request synchronously on the calling thread.
     pub fn handle(&self, request: &Request) -> Response {
         let start = Instant::now();
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         // The trace id arrives with the request (router-forwarded or
         // client-chosen) or is minted here at ingress for direct traffic.
         let trace = obs::trace_or_mint(request.trace.as_deref());
-        let (mut response, spans) = timing::collect(|| self.handle_one(request));
+        let shard_index = self.by_problem.get(&request.problem).copied();
+        let (mut response, spans) = timing::collect(|| self.handle_one(request, shard_index, &trace));
         response.id = request.id;
         response.elapsed_us = start.elapsed().as_micros() as u64;
         response.trace = Some(trace.clone());
-        match response.status {
-            Status::Correct => &self.counters.correct,
-            Status::Repaired => &self.counters.repaired,
-            Status::NoRepair => &self.counters.no_repair,
-            Status::Error => &self.counters.errors,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        self.observe(request, &response, &spans, &trace);
+        self.observe(request, shard_index, &response, &spans, &trace);
         response
     }
 
-    /// Records the request in the metrics registry and dumps its span tree
-    /// when it was slow or failed (per `slow_ms`).
-    fn observe(&self, request: &Request, response: &Response, spans: &[timing::Span], trace: &str) {
-        let registry = Registry::global();
-        // Problem names come from the client: only loaded problems become
-        // label values, so arbitrary names cannot grow the registry.
-        let problem =
-            if self.by_problem.contains_key(&request.problem) { request.problem.as_str() } else { "unknown" };
-        registry
-            .counter("clara_requests_total", &[("problem", problem), ("status", response.status.as_str())])
-            .inc();
-        registry
-            .histogram("clara_request_duration_us", &[("status", response.status.as_str())])
-            .record(response.elapsed_us);
+    /// Counts the request and dumps its span tree when it was slow or
+    /// failed (per `slow_ms`).
+    fn observe(
+        &self,
+        request: &Request,
+        shard_index: Option<usize>,
+        response: &Response,
+        spans: &[timing::Span],
+        trace: &str,
+    ) {
+        // Problem names come from the client: unloaded ones all count in
+        // the `unknown` row, so arbitrary names cannot grow the registry.
+        let row = shard_index.unwrap_or(self.shards.len());
+        let status = response.status as usize;
+        self.metrics.requests[row][status].inc();
+        self.metrics.durations[status].record(response.elapsed_us);
         let failed = response.status == Status::Error;
         let dump =
             self.config.slow_ms.is_some_and(|ms| failed || response.elapsed_us >= ms.saturating_mul(1_000));
@@ -423,8 +400,8 @@ impl FeedbackService {
         }
     }
 
-    fn handle_one(&self, request: &Request) -> Response {
-        let Some(&shard_index) = self.by_problem.get(&request.problem) else {
+    fn handle_one(&self, request: &Request, shard_index: Option<usize>, trace: &str) -> Response {
+        let Some(shard_index) = shard_index else {
             let spec = self.config.shard;
             let detail = if spec.is_solo() {
                 String::from("see `clara-cli problems`")
@@ -434,7 +411,6 @@ impl FeedbackService {
             return Response::error(request.id, format!("unknown problem `{}` ({detail})", request.problem));
         };
         let shard = &self.shards[shard_index];
-        shard.requests.fetch_add(1, Ordering::Relaxed);
         let lang = shard.problem.lang;
 
         // The language tag is validation: each problem has exactly one
@@ -480,12 +456,12 @@ impl FeedbackService {
             self.cache.get(key)
         };
         if let Some(cached) = probed {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.metrics.cache_hits.inc();
             // A cache hit answers the *feedback* question, but a learn
             // request must still reach the index — the first occurrence may
             // have been cached without the learn flag.
-            let learned =
-                cached.status == Status::Correct && self.learn_if_requested(request, shard, parsed.as_ref());
+            let learned = cached.status == Status::Correct
+                && self.learn_if_requested(request, shard_index, parsed.as_ref(), trace);
             return Response {
                 id: request.id,
                 status: cached.status,
@@ -543,12 +519,12 @@ impl FeedbackService {
         // served to requests that resolved `g`.
         let (outcome, shared) = match self.flights.join(key) {
             Flight::Coalesced(outcome) => {
-                self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                self.metrics.coalesced.inc();
                 (outcome, true)
             }
             Flight::Leader(guard) => match self.cache.recheck(key) {
                 Some(cached) => {
-                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.cache_hits.inc();
                     guard.complete(cached.clone());
                     (cached, true)
                 }
@@ -568,8 +544,8 @@ impl FeedbackService {
         // per request, never under the flight slot: a coalesced learn must
         // still insert, and the leader must not hold followers hostage to
         // the writer mutex.
-        let learned =
-            outcome.status == Status::Correct && self.learn_if_requested(request, shard, parsed.as_ref());
+        let learned = outcome.status == Status::Correct
+            && self.learn_if_requested(request, shard_index, parsed.as_ref(), trace);
         if learned {
             // The learn published a new generation, which leaves the entry
             // above unreachable; a correct verdict does not depend on the
@@ -591,33 +567,32 @@ impl FeedbackService {
         }
     }
 
-    /// Reports one computed repair in the global registry: why it found
-    /// nothing, in `clara_repair_failures_total{reason}` (the labels are
-    /// [`clara_core::RepairFailure::as_str`]), and how the candidate
-    /// pre-search behaved, in service counters for `/stats` plus a labelled
-    /// counter and the examined-candidate-set-size histogram (all
-    /// fleet-mergeable, rendered by `GET /metrics`). Cache hits and
-    /// coalesced followers reuse an outcome and are not reported again.
-    fn record_repair(&self, result: &clara_core::RepairResult) {
+    /// Reports one computed repair: why it found nothing, in
+    /// `clara_repair_failures_total{reason}` (the labels are
+    /// [`RepairFailure::as_str`]), and how the candidate pre-search behaved,
+    /// in `clara_index_retrievals_total{outcome}` and the
+    /// examined-candidate-set-size histogram. Cache hits and coalesced
+    /// followers reuse an outcome and are not reported again.
+    fn record_repair(&self, result: &RepairResult) {
+        let metrics = &self.metrics;
         if let Some(failure) = &result.failure {
-            Registry::global().counter("clara_repair_failures_total", &[("reason", failure.as_str())]).inc();
+            match failure {
+                RepairFailure::NoMatchingControlFlow => &metrics.no_matching_control_flow,
+                RepairFailure::NoFeasibleRepair => &metrics.no_feasible_repair,
+                RepairFailure::SolverBudgetExhausted => &metrics.solver_budget_exhausted,
+            }
+            .inc();
         }
         let Some(retrieval) = &result.retrieval else { return };
-        self.counters.index_retrievals.fetch_add(1, Ordering::Relaxed);
         if retrieval.fell_back {
-            self.counters.index_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        let outcome = if retrieval.fell_back {
-            "fallback"
+            &metrics.fallback
         } else if retrieval.shortlisted < retrieval.control_flow_candidates {
-            "shortlisted"
+            &metrics.shortlisted
         } else {
-            "full_scan"
-        };
-        Registry::global().counter("clara_index_retrievals_total", &[("outcome", outcome)]).inc();
-        Registry::global()
-            .histogram("clara_index_candidates_examined", &[])
-            .record(result.candidate_clusters as u64);
+            &metrics.full_scan
+        }
+        .inc();
+        metrics.candidates.record(result.candidate_clusters as u64);
     }
 
     /// Inserts a verified-correct submission into the shard's cluster index
@@ -627,16 +602,19 @@ impl FeedbackService {
     /// to swap the new snapshot in. The successor shares every untouched
     /// cluster with the current snapshot, so dropping the replaced snapshot
     /// frees only the old copy of the one cluster the learn changed.
-    /// Returns whether an insertion happened.
+    /// A refused insertion is counted in `clara_learn_refused_total{reason}`
+    /// and logged. Returns whether an insertion happened.
     fn learn_if_requested(
         &self,
         request: &Request,
-        shard: &ProblemShard,
+        shard_index: usize,
         parsed: &dyn ParsedSubmission,
+        trace: &str,
     ) -> bool {
         if !(self.config.learn && request.learn.unwrap_or(false)) {
             return false;
         }
+        let shard = &self.shards[shard_index];
         let _timer = StageTimer::start(Stage::Learn);
         // Learns serialize here, so each one extends the latest snapshot
         // and no generation is lost. A poisoned lock (a panicked writer)
@@ -645,14 +623,22 @@ impl FeedbackService {
         let _writer = shard.write.lock().unwrap_or_else(PoisonError::into_inner);
         let current = shard.snapshot();
         let mut store = current.store.clone();
-        if store.insert_correct(parsed, &request.source).is_err() {
+        if let Err(err) = store.insert_correct(parsed, &request.source) {
+            self.metrics.learn_refused[usize::from(!err.is_syntax_error())].inc();
+            obs::log("warn", "learn_refused")
+                .str_field("trace_id", trace)
+                .str_field("problem", &request.problem)
+                .str_field("error", &err.to_string())
+                .emit();
             return false;
         }
-        let next = Arc::new(Snapshot { generation: current.generation + 1, store });
+        let generation = current.generation + 1;
         // `current` still holds the old snapshot, so the swap never frees a
         // store while readers wait on the lock.
-        *shard.current.write().unwrap_or_else(PoisonError::into_inner) = next;
-        self.counters.learned.fetch_add(1, Ordering::Relaxed);
+        *shard.current.write().unwrap_or_else(PoisonError::into_inner) =
+            Arc::new(Snapshot { generation, store });
+        self.metrics.generations[shard_index].set(generation as i64);
+        self.metrics.learned.inc();
         true
     }
 
@@ -688,6 +674,17 @@ mod tests {
         let seeds: Vec<&str> = problem.seeds.clone();
         let (store, _) = ClusterStore::build(&problem, seeds, ClaraConfig::default());
         FeedbackService::new(vec![store], ServiceConfig::default())
+    }
+
+    /// The sum of counter family `name` in the service's registry.
+    fn counter(service: &FeedbackService, name: &str) -> u64 {
+        service.registry().dump(0).counter(name, &[])
+    }
+
+    /// The snapshot generation of the service's (one) problem.
+    fn generation(service: &FeedbackService) -> u64 {
+        let generation = service.registry().dump(0).gauge("clara_snapshot_generation", &[]);
+        generation.expect("the service exports its snapshot generation").unsigned_abs()
     }
 
     fn request(id: u64, source: &str) -> Request {
@@ -732,9 +729,9 @@ def computeDeriv(poly):
         assert_eq!(second.feedback, first.feedback);
         assert_eq!(second.cost, first.cost);
         assert_eq!(second.id, 2);
-        let stats = service.stats();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.requests, 2);
+        let stats = service.registry().dump(0);
+        assert_eq!(stats.counter("clara_cache_hits_total", &[]), 1);
+        assert_eq!(stats.counter("clara_requests_total", &[]), 2);
     }
 
     #[test]
@@ -746,9 +743,9 @@ def computeDeriv(poly):
         let response = service.handle(&learn_request);
         assert_eq!(response.status, Status::Correct);
         assert!(response.learned);
-        assert_eq!(service.stats().learned, 1);
+        assert_eq!(counter(&service, "clara_learned_total"), 1);
         // The insertion published a new index snapshot.
-        assert_eq!(service.snapshot_generation(), 1);
+        assert_eq!(generation(&service), 1);
     }
 
     #[test]
@@ -766,7 +763,7 @@ def computeDeriv(poly):
         let hit = service.handle(&learn_request);
         assert!(hit.cache_hit);
         assert!(hit.learned, "learn must not be swallowed by the cache");
-        assert_eq!(service.stats().learned, 1);
+        assert_eq!(counter(&service, "clara_learned_total"), 1);
     }
 
     #[test]
@@ -785,7 +782,7 @@ def computeDeriv(poly):
         let mut learn = request(3, problem.seeds[1]);
         learn.learn = Some(true);
         assert!(service.handle(&learn).learned);
-        assert_eq!(service.snapshot_generation(), 1);
+        assert_eq!(generation(&service), 1);
 
         let after = service.handle(&request(4, INCORRECT));
         assert!(!after.cache_hit, "the learn must invalidate the shard's cached outcomes");
@@ -816,9 +813,10 @@ def computeDeriv(poly):
             assert_eq!(response.status, Status::Repaired, "{:?}", response.error);
             assert_eq!(response.feedback, responses[0].feedback);
         }
-        let stats = service.stats();
-        assert_eq!(stats.coalesced + stats.cache_hits, 3, "exactly one computation for four requests");
-        assert!(stats.coalesced >= 1, "concurrent duplicates must coalesce: {stats:?}");
+        let (coalesced, hits) =
+            (counter(&service, "clara_coalesced_total"), counter(&service, "clara_cache_hits_total"));
+        assert_eq!(coalesced + hits, 3, "exactly one computation for four requests");
+        assert!(coalesced >= 1, "concurrent duplicates must coalesce: {coalesced} coalesced, {hits} hits");
         assert_eq!(responses.iter().filter(|r| !r.cache_hit).count(), 1);
     }
 
@@ -847,12 +845,9 @@ def computeDeriv(poly):
             for handle in handles {
                 assert_eq!(handle.join().unwrap().status, Status::Correct);
             }
-            let stats = service.stats();
-            assert_eq!(
-                stats.coalesced + stats.cache_hits,
-                3,
-                "round {round}: one computation for four: {stats:?}"
-            );
+            let (coalesced, hits) =
+                (counter(&service, "clara_coalesced_total"), counter(&service, "clara_cache_hits_total"));
+            assert_eq!(coalesced + hits, 3, "round {round}: one computation for four: {coalesced} + {hits}");
         }
     }
 
@@ -864,7 +859,7 @@ def computeDeriv(poly):
             unknown.problem = format!("no_such_problem_{i}");
             assert_eq!(service.handle(&unknown).status, Status::Error);
         }
-        let dump = Registry::global().dump(0);
+        let dump = service.registry().dump(0);
         let labels: Vec<&obs::LabelDump> = dump
             .counters
             .iter()
@@ -927,8 +922,34 @@ def computeDeriv(poly):
             reader.join().expect("reader panicked");
         }
         assert_eq!(learned, 4, "every distinct correct solution is learned");
-        assert_eq!(service.snapshot_generation(), service.stats().learned);
-        assert_eq!(service.stats().learned, 4);
+        assert_eq!(generation(&service), counter(&service, "clara_learned_total"));
+        assert_eq!(counter(&service, "clara_learned_total"), 4);
+    }
+
+    #[test]
+    fn learns_too_deep_to_store_are_refused_and_counted() {
+        // Each `0 + (...)` nests the appended expression one level deeper;
+        // this many nests past the store's depth guard.
+        let depth = crate::store::MAX_STORED_EXPR_DEPTH;
+        let source = format!(
+            "def computeDeriv(poly):\n    result = []\n    for e in range(1, len(poly)):\n        \
+             result.append(float({}poly[e]*e{}))\n    if result == []:\n        return [0.0]\n    \
+             else:\n        return result\n",
+            "0 + (".repeat(depth),
+            ")".repeat(depth)
+        );
+        let service = service();
+        let mut learn = request(1, &source);
+        learn.learn = Some(true);
+        let response = service.handle(&learn);
+        assert_eq!(response.status, Status::Correct, "{:?}", response.error);
+        assert!(!response.learned, "a solution the index could not load back must not learn");
+        let stats = service.registry().dump(0);
+        assert_eq!(stats.counter("clara_learn_refused_total", &[("reason", "unsupported")]), 1);
+        assert_eq!(stats.counter("clara_learn_refused_total", &[]), 1);
+        assert!(stats.counters.iter().any(|c| c.name == "clara_learned_total"), "{stats:?}");
+        assert_eq!(stats.counter("clara_learned_total", &[]), 0);
+        assert_eq!(generation(&service), 0);
     }
 
     #[test]
@@ -984,11 +1005,13 @@ def computeDeriv(poly):
         let service = service();
         let _ = service.handle(&request(1, INCORRECT));
         let _ = service.handle(&request(2, INCORRECT));
-        let shard_stats = service.shard_stats();
-        assert_eq!(shard_stats.len(), 1);
-        assert_eq!(shard_stats[0].problem, "derivatives");
-        assert_eq!(shard_stats[0].requests, 2);
-        assert_eq!(shard_stats[0].generation, 0);
+        let stats = service.registry().dump(0);
+        let problems: Vec<&obs::GaugeDump> =
+            stats.gauges.iter().filter(|g| g.name == "clara_snapshot_generation").collect();
+        assert_eq!(problems.len(), 1);
+        assert!(problems[0].labels.iter().any(|l| l.k == "problem" && l.v == "derivatives"));
+        assert_eq!(stats.counter("clara_requests_total", &[("problem", "derivatives")]), 2);
+        assert_eq!(problems[0].value, 0);
     }
 
     #[test]
@@ -1107,7 +1130,7 @@ def computeDeriv(poly):
         assert!(!fifth.cache_hit);
         let sixth = service.handle(&request(6, INCORRECT));
         assert!(sixth.cache_hit);
-        assert_eq!(service.stats().cache_hits, 1);
+        assert_eq!(counter(&service, "clara_cache_hits_total"), 1);
     }
 
     #[test]
@@ -1202,8 +1225,8 @@ def computeDeriv(poly):
         for reader in readers {
             reader.join().expect("reader panicked");
         }
-        let generation = service.snapshot_generation();
-        assert_eq!(generation as usize, service.stats().learned as usize);
+        let generation = generation(&service);
+        assert_eq!(generation, counter(&service, "clara_learned_total"));
         assert!(generation >= 1, "at least one learn must land");
     }
 }

@@ -32,8 +32,11 @@
 //!   start: only cluster representatives are re-analysed);
 //! * `--listen ADDR` — serve the NDJSON protocol over TCP on `ADDR` (the
 //!   fleet protocol), one thread per connection;
-//! * `--http ADDR` — serve `POST /repair` / `GET /health` / `GET /stats`
-//!   on `ADDR` (e.g. `127.0.0.1:8077`);
+//! * `--http ADDR` — serve `POST /repair`, `GET /health`, `GET /stats` and
+//!   `GET /metrics` on `ADDR` (e.g. `127.0.0.1:8077`). `/health` and
+//!   `/stats` answer the process's metrics dump as JSON (the same dump an
+//!   NDJSON `{"stats":true}` line gets); `/metrics` renders it as
+//!   Prometheus text, on a router merged with every shard's dump;
 //! * `--shard i/N` — fleet position: load only the problems this shard
 //!   holds on the consistent-hash ring (as owner or as the ring-successor
 //!   replica) and reject the rest with a routing error;
@@ -470,10 +473,13 @@ fn serve_router(options: &ServeOptions) -> ExitCode {
         options.http.as_deref(),
         options.faults,
     );
-    let report = router.report(0);
+    let report = router.stats_dump(0);
     eprintln!(
         "(forwarded {} request(s), {} upstream error(s), {} retr(ies), {} failover(s))",
-        report.forwarded, report.upstream_errors, report.retries, report.failovers
+        report.counter("clara_router_forwarded_total", &[]),
+        report.counter("clara_router_upstream_errors_total", &[]),
+        report.counter("clara_router_retries_total", &[]),
+        report.counter("clara_router_failovers_total", &[])
     );
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
@@ -612,25 +618,26 @@ fn serve(args: &[String]) -> ExitCode {
     }
     // Both front ends return only once every request has been answered,
     // so every learn has reached the index before it is persisted below.
-    let stats = service.stats();
+    let stats = service.registry().dump(0);
+    let requests = |status: &str| stats.counter("clara_requests_total", &[("status", status)]);
+    let learned = stats.counter("clara_learned_total", &[]);
     // Persist what was learned online, so the next warm start sees it.
     if let Some(dir) = options.index_dir.as_deref() {
-        if stats.learned > 0 {
+        if learned > 0 {
             match service.save_indexes(dir) {
-                Ok(()) => eprintln!("(re-saved indexes with {} learned solution(s))", stats.learned),
+                Ok(()) => eprintln!("(re-saved indexes with {learned} learned solution(s))"),
                 Err(err) => eprintln!("(could not re-save indexes: {err})"),
             }
         }
     }
     eprintln!(
-        "(served {} requests: {} cache hits, {} repaired, {} correct, {} no-repair, {} errors, {} learned)",
-        stats.requests,
-        stats.cache_hits,
-        stats.repaired,
-        stats.correct,
-        stats.no_repair,
-        stats.errors,
-        stats.learned
+        "(served {} requests: {} cache hits, {} repaired, {} correct, {} no-repair, {} errors, {learned} learned)",
+        stats.counter("clara_requests_total", &[]),
+        stats.counter("clara_cache_hits_total", &[]),
+        requests("repaired"),
+        requests("correct"),
+        requests("no_repair"),
+        requests("error"),
     );
     ExitCode::SUCCESS
 }

@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
-use clara_server::{Response, Status};
+use clara_server::{MetricsDump, Response, Status};
 
 const CLI: &str = env!("CARGO_BIN_EXE_clara-cli");
 
@@ -317,12 +317,22 @@ fn router_forwards_to_two_shard_processes_over_tcp() {
     writeln!(writer, r#"{{"id":9,"stats":true}}"#).expect("writing stats request");
     let mut line = String::new();
     reader.read_line(&mut line).expect("reading stats line");
-    let stats: clara_server::RouterReport = serde_json::from_str(line.trim()).expect("stats json");
-    assert!(stats.router, "{stats:?}");
-    assert_eq!(stats.shards, 2, "{stats:?}");
-    assert_eq!(stats.forwarded, 4, "{stats:?}");
-    assert_eq!(stats.upstream_errors, 0, "{stats:?}");
-    assert!(stats.upstreams.iter().all(|u| u.forwarded > 0), "every shard must see traffic: {stats:?}");
+    let stats: MetricsDump = serde_json::from_str(line.trim()).expect("stats json");
+    assert_eq!(stats.id, 9, "{stats:?}");
+    assert_eq!(
+        stats.gauge("clara_router_shards", &[]),
+        Some(2),
+        "a router answers with its fleet size: {stats:?}"
+    );
+    assert_eq!(stats.counter("clara_router_forwarded_total", &[]), 4, "{stats:?}");
+    assert!(stats.counters.iter().any(|c| c.name == "clara_router_upstream_errors_total"), "{stats:?}");
+    assert_eq!(stats.counter("clara_router_upstream_errors_total", &[]), 0, "{stats:?}");
+    assert!(
+        shard_addrs
+            .iter()
+            .all(|addr| stats.counter("clara_router_forwarded_total", &[("upstream", addr)]) > 0),
+        "every shard must see traffic: {stats:?}"
+    );
 
     // stdin EOF shuts each process down in dependency order: router first
     // (so it stops holding upstream connections), then the shards.
@@ -406,9 +416,14 @@ fn router_fails_over_to_the_ring_successor_when_the_owner_dies() {
     writeln!(writer, r#"{{"id":3,"stats":true}}"#).expect("writing stats request");
     let mut line = String::new();
     reader.read_line(&mut line).expect("reading stats line");
-    let stats: clara_server::RouterReport = serde_json::from_str(line.trim()).expect("stats json");
-    assert_eq!(stats.replicated_learns, 1, "the learn must reach the successor too: {stats:?}");
-    assert_eq!(stats.failovers, 0, "{stats:?}");
+    let stats: MetricsDump = serde_json::from_str(line.trim()).expect("stats json");
+    assert_eq!(
+        stats.counter("clara_router_replicated_learns_total", &[]),
+        1,
+        "the learn must reach the successor too: {stats:?}"
+    );
+    assert!(stats.counters.iter().any(|c| c.name == "clara_router_failovers_total"), "{stats:?}");
+    assert_eq!(stats.counter("clara_router_failovers_total", &[]), 0, "{stats:?}");
 
     // Kill the owner. Reads must fail over to the successor's replica.
     let owner = clara_server::HashRing::new(2).owner("derivatives", "minipy");
@@ -424,8 +439,11 @@ fn router_fails_over_to_the_ring_successor_when_the_owner_dies() {
     writeln!(writer, r#"{{"id":6,"stats":true}}"#).expect("writing stats request");
     let mut line = String::new();
     reader.read_line(&mut line).expect("reading stats line");
-    let stats: clara_server::RouterReport = serde_json::from_str(line.trim()).expect("stats json");
-    assert!(stats.failovers >= 1, "the outage must be served via failover: {stats:?}");
+    let stats: MetricsDump = serde_json::from_str(line.trim()).expect("stats json");
+    assert!(
+        stats.counter("clara_router_failovers_total", &[]) >= 1,
+        "the outage must be served via failover: {stats:?}"
+    );
 
     drop(writer);
     drop(reader);
