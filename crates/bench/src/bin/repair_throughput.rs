@@ -18,6 +18,12 @@
 //! fixed `rhombus` attempt [`RHOMBUS_ATTEMPT`], whose ILP is the largest of
 //! the bundled corpus, divided by the interpreter's cost per step. CI caps
 //! that ratio too.
+//!
+//! And it prices the tree edit distance, the repair cost of every candidate
+//! local repair: the mean time of one distance over a fixed pair set (each
+//! `rhombus` attempt expression against every cluster expression of its
+//! location, the way the repair loop compares them), divided by the
+//! interpreter's cost per step. CI caps that ratio as well.
 
 #![forbid(unsafe_code)]
 
@@ -29,8 +35,9 @@ use clara_core::{AnalyzedProgram, Clara, ClaraConfig};
 use clara_corpus::mooc::{all_mooc_problems, derivatives};
 use clara_corpus::study::rhombus;
 use clara_corpus::{generate_dataset_for, DatasetConfig};
-use clara_lang::{parse_program, run_function, InterpError, Limits};
+use clara_lang::{parse_program, run_function, Expr, InterpError, Limits};
 use clara_model::{lower_entry, Fuel};
+use clara_ted::PreparedTree;
 use serde::Serialize;
 
 /// A `derivatives` attempt whose loop never advances: every input with two
@@ -60,9 +67,13 @@ def rhombus(h):
         print(mid)
 ";
 
-/// Timing repetitions of the step-cost and ILP probes; the fastest one is
-/// reported.
+/// Timing repetitions of the step-cost, ILP and edit-distance probes; the
+/// fastest one is reported.
 const STEP_COST_REPS: usize = 5;
+
+/// Passes over the edit-distance pair set in one timing repetition (one
+/// pass takes well under a millisecond).
+const TED_PASSES: usize = 20;
 
 #[derive(Serialize)]
 struct ProblemThroughput {
@@ -97,6 +108,12 @@ struct ThroughputReport {
     rhombus_ilp_ns: f64,
     /// `rhombus_ilp_ns / interpreter_ns_per_step`.
     ilp_interpreter_ratio: f64,
+    /// Number of expression pairs [`rhombus_ted_ns`] times.
+    ted_pairs: usize,
+    /// Nanoseconds per tree edit distance over those pairs.
+    ted_ns_per_distance: f64,
+    /// `ted_ns_per_distance / interpreter_ns_per_step`.
+    ted_interpreter_ratio: f64,
     problems: Vec<ProblemThroughput>,
 }
 
@@ -134,10 +151,9 @@ fn step_costs() -> (f64, f64) {
     (analysis, interpreter)
 }
 
-/// Nanoseconds of [`Stage::Ilp`] in one sequential repair of
-/// [`RHOMBUS_ATTEMPT`] against the default `rhombus` dataset's clusters,
-/// fastest of [`STEP_COST_REPS`].
-fn rhombus_ilp_ns() -> f64 {
+/// A sequential engine holding the default `rhombus` dataset's correct
+/// solutions, the clusters [`RHOMBUS_ATTEMPT`] is repaired against.
+fn rhombus_engine() -> Clara {
     let problem = rhombus();
     let mut config = ClaraConfig::default();
     config.repair.parallel = false;
@@ -145,6 +161,13 @@ fn rhombus_ilp_ns() -> f64 {
     for solution in generate_dataset_for(&problem, DatasetConfig::default()).correct {
         engine.add_correct_solution(&solution.source).expect("correct rhombus solutions analyse");
     }
+    engine
+}
+
+/// Nanoseconds of [`Stage::Ilp`] in one sequential repair of
+/// [`RHOMBUS_ATTEMPT`] against `engine`'s clusters, fastest of
+/// [`STEP_COST_REPS`].
+fn rhombus_ilp_ns(engine: &Clara) -> f64 {
     (0..STEP_COST_REPS)
         .map(|_| {
             let (outcome, spans) = timing::collect(|| engine.repair_source(RHOMBUS_ATTEMPT));
@@ -153,6 +176,43 @@ fn rhombus_ilp_ns() -> f64 {
             spans.iter().filter(|span| span.stage == Stage::Ilp).map(|span| span.nanos as f64).sum::<f64>()
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// `(pairs, ns per distance)` of the tree edit distance between every
+/// update `U(ℓ, v₂)` of [`RHOMBUS_ATTEMPT`] and every cluster expression at
+/// `ℓ` of each cluster with its control flow, fastest of
+/// [`STEP_COST_REPS`] runs of [`TED_PASSES`] passes. Each attempt
+/// expression is prepared once per cluster and compared with each of that
+/// cluster's expressions.
+fn rhombus_ted_ns(engine: &Clara) -> (usize, f64) {
+    let source = parse_program(RHOMBUS_ATTEMPT).expect("the rhombus attempt parses");
+    let attempt = lower_entry(&source, rhombus().entry).expect("the rhombus attempt lowers");
+    let mut pairs: Vec<(Expr, Vec<&Expr>)> = Vec::new();
+    for cluster in engine.clusters() {
+        let rep = &cluster.representative.program;
+        if !rep.same_control_flow(&attempt) {
+            continue;
+        }
+        for loc in attempt.locs() {
+            let exprs: Vec<&Expr> = rep.vars.iter().flat_map(|v1| cluster.expressions(loc, v1)).collect();
+            pairs.extend(attempt.vars.iter().map(|v2| (attempt.update(loc, v2), exprs.clone())));
+        }
+    }
+    let count: usize = pairs.iter().map(|(_, exprs)| exprs.len()).sum();
+    assert!(count > 0, "the rhombus attempt must share its control flow with a cluster");
+    let ns = (0..STEP_COST_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..TED_PASSES {
+                for (e_impl, exprs) in &pairs {
+                    let prepared = PreparedTree::from_expr(e_impl);
+                    std::hint::black_box(exprs.iter().map(|e| prepared.distance_to(e)).sum::<usize>());
+                }
+            }
+            start.elapsed().as_nanos() as f64 / (count * TED_PASSES) as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    (count, ns)
 }
 
 fn per_sec(count: usize, seconds: f64) -> f64 {
@@ -209,7 +269,9 @@ fn main() {
     }
 
     let (analysis_ns_per_step, interpreter_ns_per_step) = step_costs();
-    let rhombus_ilp_ns = rhombus_ilp_ns();
+    let engine = rhombus_engine();
+    let rhombus_ilp_ns = rhombus_ilp_ns(&engine);
+    let (ted_pairs, ted_ns_per_distance) = rhombus_ted_ns(&engine);
     let report = ThroughputReport {
         corpus: mode.corpus_label(scale),
         attempts,
@@ -222,6 +284,9 @@ fn main() {
         analysis_interpreter_ratio: analysis_ns_per_step / interpreter_ns_per_step,
         rhombus_ilp_ns,
         ilp_interpreter_ratio: rhombus_ilp_ns / interpreter_ns_per_step,
+        ted_pairs,
+        ted_ns_per_distance,
+        ted_interpreter_ratio: ted_ns_per_distance / interpreter_ns_per_step,
         problems,
     };
     println!(
@@ -243,6 +308,10 @@ fn main() {
         "ILP stage of the fixed rhombus repair: {:.2} ms ({:.0} interpreter steps)",
         report.rhombus_ilp_ns / 1e6,
         report.ilp_interpreter_ratio,
+    );
+    println!(
+        "Tree edit distance over {} rhombus expression pairs: {:.0} ns each ({:.2} interpreter steps)",
+        report.ted_pairs, report.ted_ns_per_distance, report.ted_interpreter_ratio,
     );
     println!();
     println!("The paper reports ~3s median repair time per attempt (§6.2); this bench tracks");

@@ -26,14 +26,16 @@
 //! trivial repair always available and the algorithm complete for clusters
 //! with matching control flow.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use clara_ilp::{BudgetExhausted, IlpBuilder, Solution, SolveLimits, VarId};
 use clara_lang::{Expr, Value};
 use clara_model::{Fuel, Loc, Program};
-use clara_ted::{expr_tree_size, prepared_edit_distance, PreparedTree};
+use clara_ted::{expr_tree_size, PreparedTree};
 
 use crate::analysis::AnalyzedProgram;
 use crate::cluster::Cluster;
@@ -394,11 +396,13 @@ pub fn repair_attempt_retrieved(
     // every input and re-runs the matcher — as expensive as the repair
     // itself when many clusters share the attempt's control flow).
     let cluster_config = RepairConfig { verify: false, ..config.clone() };
+    let slot_exprs = slot_exprs(&attempt.program);
+    let slots = ImplSlots::new(&slot_exprs, attempt.program.vars.len());
     let scanned = shortlist.as_ref().unwrap_or(&candidates);
     let mut examined = scanned.len();
     let mut budget_exhausted = false;
     let mut best = cheapest(
-        run_candidates(scanned, attempt, &cluster_config, config.parallel),
+        run_candidates(scanned, attempt, &slots, &cluster_config, config.parallel),
         attempt,
         inputs,
         &cluster_config,
@@ -451,7 +455,7 @@ pub fn repair_attempt_retrieved(
                 let batch = &queue[offset..(offset + tier).min(queue.len())];
                 examined += batch.len();
                 best = cheapest(
-                    run_candidates(batch, attempt, &cluster_config, config.parallel),
+                    run_candidates(batch, attempt, &slots, &cluster_config, config.parallel),
                     attempt,
                     inputs,
                     &cluster_config,
@@ -528,11 +532,13 @@ fn cheapest(
 fn run_candidates<'c>(
     candidates: &[(usize, &'c Cluster)],
     attempt: &AnalyzedProgram,
+    slots: &ImplSlots<'_>,
     cluster_config: &RepairConfig,
     parallel: bool,
 ) -> Vec<Result<StagedRepair<'c>, RepairFailure>> {
-    let stage =
-        |&(index, cluster): &(usize, &'c Cluster)| stage_cluster(cluster, index, attempt, cluster_config);
+    let stage = |&(index, cluster): &(usize, &'c Cluster)| {
+        stage_cluster(cluster, index, attempt, slots, cluster_config)
+    };
     let helpers = if parallel {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         (threads - 1).min(candidates.len().saturating_sub(1))
@@ -584,26 +590,29 @@ fn run_candidates<'c>(
 /// optimal solution. Equal-cost candidates are all kept (they are distinct
 /// repairs the solver may legitimately pick among). Shrinks the ILP the
 /// solver has to chew on without changing the optimum.
-fn prune_dominated(
-    candidates: &mut Vec<CandidateRepair>,
-    candidates_by_slot: &mut HashMap<(usize, String), Vec<usize>>,
-) {
-    /// A candidate's interchangeability class: slot plus sorted dependencies.
-    type DominanceKey = (usize, String, Vec<(String, MapTarget)>);
-    // Dominance class → cheapest cost seen.
-    let mut cheapest: HashMap<DominanceKey, i64> = HashMap::new();
-    let mut keys: Vec<DominanceKey> = Vec::with_capacity(candidates.len());
-    for candidate in candidates.iter() {
-        let mut deps = candidate.dependencies.clone();
-        deps.sort();
-        let key = (candidate.loc.0, candidate.var.clone(), deps);
-        let entry = cheapest.entry(key.clone()).or_insert(candidate.cost);
-        if candidate.cost < *entry {
-            *entry = candidate.cost;
+fn prune_dominated(candidates: &mut Vec<CandidateRepair>, candidates_by_slot: &mut [Vec<usize>]) {
+    let mut keep = vec![true; candidates.len()];
+    for ids in candidates_by_slot.iter().filter(|ids| ids.len() > 1) {
+        // A candidate's interchangeability class within its slot: its
+        // sorted dependencies.
+        let keys: Vec<Vec<&(String, MapTarget)>> = ids
+            .iter()
+            .map(|&i| {
+                let mut deps: Vec<_> = candidates[i].dependencies.iter().collect();
+                deps.sort();
+                deps
+            })
+            .collect();
+        // Dominance class → cheapest cost seen.
+        let mut cheapest: HashMap<&[&(String, MapTarget)], i64> = HashMap::new();
+        for (key, &i) in keys.iter().zip(ids) {
+            let entry = cheapest.entry(key).or_insert(candidates[i].cost);
+            *entry = (*entry).min(candidates[i].cost);
         }
-        keys.push(key);
+        for (key, &i) in keys.iter().zip(ids) {
+            keep[i] = candidates[i].cost <= cheapest[key.as_slice()];
+        }
     }
-    let keep: Vec<bool> = candidates.iter().zip(&keys).map(|(c, key)| c.cost <= cheapest[key]).collect();
     if keep.iter().all(|&k| k) {
         return;
     }
@@ -622,7 +631,7 @@ fn prune_dominated(
         i += 1;
         kept
     });
-    for ids in candidates_by_slot.values_mut() {
+    for ids in candidates_by_slot.iter_mut() {
         ids.retain_mut(|id| match remap[*id] {
             Some(new_id) => {
                 *id = new_id;
@@ -734,18 +743,6 @@ enum MapTarget {
     Fresh(String),
 }
 
-/// Structural dedup key for candidate local repairs. (Previously these were
-/// rendered `format!`/`expr_to_string` strings; hashing the structures
-/// directly avoids the rendering allocations in the hottest loop.)
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum SeenKey {
-    /// `(ω, •)` candidate: representative variable plus the sorted ω pairs.
-    Keep(String, Vec<(String, String)>),
-    /// `(ω⁻¹, ω(e))` candidate: representative variable plus the translated
-    /// replacement expression.
-    Replace(String, Expr),
-}
-
 /// Variable-compatibility data hoisted out of the per-candidate work of
 /// [`repair_against_cluster`]: the `vars_compatible` matrix and the
 /// add/delete permissions depend only on the two variable sets, so they are
@@ -794,6 +791,35 @@ impl CompatInfo {
 
     fn can_delete(&self, impl_var: &str) -> bool {
         self.impl_index.get(impl_var).is_some_and(|&i| self.deletable[i])
+    }
+}
+
+/// The update `U(ℓ, v)` of every location and variable of `program`, in
+/// the slot order of [`ImplSlots`].
+fn slot_exprs(program: &Program) -> Vec<Expr> {
+    program.locs().flat_map(|loc| program.vars.iter().map(move |v| program.update(loc, v))).collect()
+}
+
+/// An attempt's `(ℓ, v₂)` slots: each slot's implementation expression and
+/// its edit-distance tree. Built once per attempt, before any cluster is
+/// staged, and shared read-only by every cluster staged against the
+/// attempt, on every thread of [`run_candidates`].
+struct ImplSlots<'a> {
+    /// `exprs[ℓ × |V| + v₂]` is `U(ℓ, v₂)`, where `v₂` is the position of
+    /// the variable in the attempt's `vars`.
+    exprs: &'a [Expr],
+    trees: Vec<PreparedTree<'a>>,
+    var_count: usize,
+}
+
+impl<'a> ImplSlots<'a> {
+    fn new(exprs: &'a [Expr], var_count: usize) -> Self {
+        ImplSlots { exprs, trees: exprs.iter().map(PreparedTree::from_expr).collect(), var_count }
+    }
+
+    /// The slot of location `loc` and the attempt's `var`-th variable.
+    fn index(&self, loc: Loc, var: usize) -> usize {
+        loc.0 * self.var_count + var
     }
 }
 
@@ -869,7 +895,9 @@ pub fn repair_against_cluster(
     inputs: &[Vec<Value>],
     config: &RepairConfig,
 ) -> Result<ClusterRepair, RepairFailure> {
-    finish_repair(stage_cluster(cluster, cluster_index, attempt, config)?, attempt, inputs, config)
+    let slot_exprs = slot_exprs(&attempt.program);
+    let slots = ImplSlots::new(&slot_exprs, attempt.program.vars.len());
+    finish_repair(stage_cluster(cluster, cluster_index, attempt, &slots, config)?, attempt, inputs, config)
 }
 
 /// One cluster's repair problem once the cost of its minimal repair is
@@ -898,10 +926,16 @@ struct StagedRepair<'c> {
 
 /// Generates the local repairs of `attempt` against `cluster`, encodes them
 /// as an ILP and finds its optimum (steps 1 and 2 of the module docs).
+///
+/// Each candidate replacement's cost is its tree edit distance to the
+/// slot's implementation expression, whose tree `slots` prepared once for
+/// the whole attempt: staging another cluster, on this thread or another,
+/// compares against the same read-only trees.
 fn stage_cluster<'c>(
     cluster: &'c Cluster,
     cluster_index: usize,
     attempt: &AnalyzedProgram,
+    slots: &ImplSlots<'_>,
     config: &RepairConfig,
 ) -> Result<StagedRepair<'c>, RepairFailure> {
     let rep = &cluster.representative;
@@ -938,16 +972,23 @@ fn stage_cluster<'c>(
     // Step 1: generate the sets of possible local repairs LR(ℓ, v₂).
     // ------------------------------------------------------------------
     let mut candidates: Vec<CandidateRepair> = Vec::new();
-    let mut candidates_by_slot: HashMap<(usize, String), Vec<usize>> = HashMap::new();
+    let hasher = RandomState::new();
+    // Candidate indices per slot, indexed like `slots`.
+    let mut candidates_by_slot: Vec<Vec<usize>> = vec![Vec::new(); slots.exprs.len()];
 
     for loc in attempt.program.locs() {
-        for v2 in &impl_vars {
-            let e_impl = attempt.program.update(loc, v2);
-            let slot = (loc.0, v2.clone());
-            let mut seen: HashSet<SeenKey> = HashSet::new();
-            // Flattened once per slot; every replacement candidate's edit
-            // distance compares against it.
-            let mut impl_tree: Option<PreparedTree> = None;
+        for (v2_index, v2) in impl_vars.iter().enumerate() {
+            let slot = slots.index(loc, v2_index);
+            // Every replacement candidate's edit distance compares against
+            // this slot's tree, flattened once per attempt.
+            let (e_impl, impl_tree) = (&slots.exprs[slot], &slots.trees[slot]);
+            let impl_sources: Vec<String> = {
+                let mut vars = e_impl.variables();
+                if !vars.contains(v2) {
+                    vars.push(v2.clone());
+                }
+                vars
+            };
 
             for v1 in &rep_vars {
                 if !compat.compatible(v2, v1) {
@@ -956,13 +997,8 @@ fn stage_cluster<'c>(
                 let e_rep = rep.program.update(loc, v1);
 
                 // (ω, •): the implementation expression already matches.
-                let impl_sources: Vec<String> = {
-                    let mut vars = e_impl.variables();
-                    if !vars.contains(v2) {
-                        vars.push(v2.clone());
-                    }
-                    vars
-                };
+                // Every ω enumerated here is a distinct relation, so each
+                // match is a distinct candidate.
                 for_each_keep_relation(
                     &impl_sources,
                     v2,
@@ -974,7 +1010,7 @@ fn stage_cluster<'c>(
                         let matched = match sig_cache.as_mut() {
                             // ω(e_impl) is never materialised: e_impl is
                             // evaluated under a renaming view of each memory.
-                            Some(cache) => cache.matches_under_renaming(&e_rep, &e_impl, omega, loc),
+                            Some(cache) => cache.matches_under_renaming(&e_rep, e_impl, omega, loc),
                             None => {
                                 let translated =
                                     e_impl.substitute(&|name| omega.get(name).map(|t| Expr::Var(t.clone())));
@@ -982,32 +1018,30 @@ fn stage_cluster<'c>(
                             }
                         };
                         if matched {
-                            let mut pairs: Vec<(String, String)> =
-                                omega.iter().map(|(a, b)| (a.clone(), b.clone())).collect();
-                            pairs.sort();
-                            if seen.insert(SeenKey::Keep(v1.clone(), pairs)) {
-                                let dependencies = omega
-                                    .iter()
-                                    .map(|(impl_var, rep_var)| {
-                                        (rep_var.clone(), MapTarget::Existing(impl_var.clone()))
-                                    })
-                                    .collect();
-                                let index = candidates.len();
-                                candidates.push(CandidateRepair {
-                                    loc,
-                                    var: v2.clone(),
-                                    dependencies,
-                                    replacement: None,
-                                    cost: 0,
-                                });
-                                candidates_by_slot.entry(slot.clone()).or_default().push(index);
-                            }
+                            let dependencies = omega
+                                .iter()
+                                .map(|(impl_var, rep_var)| {
+                                    (rep_var.clone(), MapTarget::Existing(impl_var.clone()))
+                                })
+                                .collect();
+                            candidates_by_slot[slot].push(candidates.len());
+                            candidates.push(CandidateRepair {
+                                loc,
+                                var: v2.clone(),
+                                dependencies,
+                                replacement: None,
+                                cost: 0,
+                            });
                         }
                     },
                 );
 
                 // (ω⁻¹, ω(e)): take a cluster expression and translate it to
-                // implementation variables.
+                // implementation variables. Distinct expressions or relations
+                // can translate alike; `replaced` keeps the first: the
+                // indices of this `v₁`'s replace candidates by the hash of
+                // their replacement.
+                let mut replaced: HashMap<u64, Vec<usize>> = HashMap::new();
                 for cluster_expr in cluster.expressions(loc, v1) {
                     let rep_sources: Vec<String> = {
                         let mut vars = cluster_expr.variables();
@@ -1032,22 +1066,24 @@ fn stage_cluster<'c>(
                                     }
                                 })
                             });
-                            if !seen.insert(SeenKey::Replace(v1.clone(), replacement.clone())) {
+                            let same_hash = replaced.entry(hasher.hash_one(&replacement)).or_default();
+                            if same_hash
+                                .iter()
+                                .any(|&i| candidates[i].replacement.as_ref() == Some(&replacement))
+                            {
                                 return;
                             }
-                            let cost = if replacement == e_impl {
+                            same_hash.push(candidates.len());
+                            let cost = if replacement == *e_impl {
                                 0
                             } else {
-                                let impl_tree =
-                                    impl_tree.get_or_insert_with(|| PreparedTree::from_expr(&e_impl));
-                                prepared_edit_distance(impl_tree, &PreparedTree::from_expr(&replacement))
-                                    as i64
+                                impl_tree.distance_to(&replacement) as i64
                             };
                             let dependencies = omega
                                 .iter()
                                 .map(|(rep_var, target)| (rep_var.clone(), target.clone()))
                                 .collect();
-                            let index = candidates.len();
+                            candidates_by_slot[slot].push(candidates.len());
                             candidates.push(CandidateRepair {
                                 loc,
                                 var: v2.clone(),
@@ -1055,7 +1091,6 @@ fn stage_cluster<'c>(
                                 replacement: Some(replacement),
                                 cost,
                             });
-                            candidates_by_slot.entry(slot.clone()).or_default().push(index);
                         },
                     );
                 }
@@ -1123,12 +1158,9 @@ fn stage_cluster<'c>(
     // Constraint (3): exactly one local repair per (ℓ, v₂) — or the variable
     // is deleted.
     for loc in attempt.program.locs() {
-        for v2 in &impl_vars {
-            let slot = (loc.0, v2.clone());
-            let mut row: Vec<VarId> = candidates_by_slot
-                .get(&slot)
-                .map(|ids| ids.iter().map(|&i| repair_ids[i]).collect())
-                .unwrap_or_default();
+        for (v2_index, v2) in impl_vars.iter().enumerate() {
+            let slot = slots.index(loc, v2_index);
+            let mut row: Vec<VarId> = candidates_by_slot[slot].iter().map(|&i| repair_ids[i]).collect();
             if let Some(del) = del_vars.get(v2) {
                 row.push(*del);
             }

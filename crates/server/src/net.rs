@@ -1286,7 +1286,10 @@ mod tests {
         assert_eq!(stats.counter("clara_router_replication_errors_total", &[]), 1);
         assert_eq!(stats.counter("clara_router_failovers_total", &[]), 1);
         assert_eq!(stats.counter("clara_router_shed_total", &[]), 1);
-        assert!(stats.counter("clara_router_upstream_errors_total", &[("upstream", "127.0.0.1:1")]) >= 1);
+        // Both requests failed at the dead upstream: the learn's
+        // replication ran out of attempts, and the breaker cut the read's
+        // retries short.
+        assert_eq!(stats.counter("clara_router_upstream_errors_total", &[("upstream", "127.0.0.1:1")]), 2);
         handle.request_shutdown();
     }
 

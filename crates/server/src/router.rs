@@ -486,7 +486,9 @@ impl Forwarder {
 
     /// Runs the retry loop against one upstream: bounded attempts, jittered
     /// backoff, per-attempt socket timeouts carved from the remaining
-    /// deadline, breaker consulted before every attempt.
+    /// deadline, breaker consulted before every attempt. Every failed
+    /// return counts one upstream error, whether the attempts ran out, the
+    /// deadline did, or the breaker refused an attempt.
     fn exchange_with_retries(
         &self,
         index: usize,
@@ -498,45 +500,44 @@ impl Forwarder {
         let upstream = &self.upstreams[index];
         let policy = self.config.retry;
         let mut last_error: Option<io::Error> = None;
-        for attempt in 0..policy.max_attempts {
-            let Some(remaining) = policy.remaining(start) else {
-                return Err(last_error.unwrap_or_else(|| {
-                    io::Error::new(io::ErrorKind::TimedOut, "request deadline exhausted")
-                }));
-            };
-            if attempt > 0 {
-                std::thread::sleep(policy.backoff(attempt, rng).min(remaining));
-                upstream.retries.inc();
-                obs::log("info", "retry")
-                    .str_field("trace_id", trace)
-                    .str_field("upstream", &upstream.addr)
-                    .num_field("attempt", u64::from(attempt))
-                    .emit();
-            }
-            if !upstream.breaker.allow() {
-                return Err(last_error.unwrap_or_else(|| {
-                    io::Error::new(io::ErrorKind::ConnectionRefused, "circuit breaker open")
-                }));
-            }
-            // Split the remaining budget over the attempts left so a hung
-            // exchange (e.g. an injected drop) can't eat the whole deadline.
-            let attempt_timeout = remaining / (policy.max_attempts - attempt);
-            let exchange_timer = Instant::now();
-            match upstream.call::<Response>(line, attempt_timeout, self.config.pool_per_upstream) {
-                Ok((response, _)) => {
-                    upstream.breaker.on_success();
-                    upstream.forwarded.inc();
-                    upstream.duration.record(exchange_timer.elapsed().as_micros() as u64);
-                    return Ok(response);
+        let cut_short = 'attempts: {
+            for attempt in 0..policy.max_attempts {
+                let Some(remaining) = policy.remaining(start) else {
+                    break 'attempts io::Error::new(io::ErrorKind::TimedOut, "request deadline exhausted");
+                };
+                if attempt > 0 {
+                    std::thread::sleep(policy.backoff(attempt, rng).min(remaining));
+                    upstream.retries.inc();
+                    obs::log("info", "retry")
+                        .str_field("trace_id", trace)
+                        .str_field("upstream", &upstream.addr)
+                        .num_field("attempt", u64::from(attempt))
+                        .emit();
                 }
-                Err(e) => {
-                    upstream.breaker.on_failure();
-                    last_error = Some(e);
+                if !upstream.breaker.allow() {
+                    break 'attempts io::Error::new(io::ErrorKind::ConnectionRefused, "circuit breaker open");
+                }
+                // Split the remaining budget over the attempts left so a hung
+                // exchange (e.g. an injected drop) can't eat the whole deadline.
+                let attempt_timeout = remaining / (policy.max_attempts - attempt);
+                let exchange_timer = Instant::now();
+                match upstream.call::<Response>(line, attempt_timeout, self.config.pool_per_upstream) {
+                    Ok((response, _)) => {
+                        upstream.breaker.on_success();
+                        upstream.forwarded.inc();
+                        upstream.duration.record(exchange_timer.elapsed().as_micros() as u64);
+                        return Ok(response);
+                    }
+                    Err(e) => {
+                        upstream.breaker.on_failure();
+                        last_error = Some(e);
+                    }
                 }
             }
-        }
+            io::Error::other("forwarding failed")
+        };
         upstream.errors.inc();
-        Err(last_error.unwrap_or_else(|| io::Error::other("forwarding failed")))
+        Err(last_error.unwrap_or(cut_short))
     }
 }
 
