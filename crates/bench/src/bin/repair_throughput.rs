@@ -14,6 +14,12 @@
 //! per-step cost. Their ratio does not depend on how fast the host is; CI
 //! caps it (`ci/throughput_baseline.json`).
 //!
+//! The same probe on [`APPENDING_ATTEMPT`], whose loop appends to a list
+//! and never advances, prices a growing list: its analysis and its grading
+//! (the interpreter) per step, each divided by the interpreter's cost per
+//! step on the scalar attempt. A list that is copied on every append makes
+//! both quadratic in the loop length; CI caps both ratios.
+//!
 //! It prices the ILP the same way: the ILP-stage time of one repair of the
 //! fixed `rhombus` attempt [`RHOMBUS_ATTEMPT`], whose ILP is the largest of
 //! the bundled corpus, divided by the interpreter's cost per step. CI caps
@@ -48,6 +54,18 @@ def computeDeriv(poly):
     e = 1
     while e < len(poly):
         d = float(poly[e] * e)
+    return result
+";
+
+/// [`DIVERGING_ATTEMPT`] appending to `result` in its loop: every input with
+/// two or more coefficients runs out of fuel with a list thousands of
+/// elements long.
+const APPENDING_ATTEMPT: &str = "\
+def computeDeriv(poly):
+    result = []
+    e = 1
+    while e < len(poly):
+        result.append(float(poly[e] * e))
     return result
 ";
 
@@ -103,6 +121,15 @@ struct ThroughputReport {
     interpreter_ns_per_step: f64,
     /// `analysis_ns_per_step / interpreter_ns_per_step`.
     analysis_interpreter_ratio: f64,
+    /// Nanoseconds per model step of `AnalyzedProgram::from_program` on
+    /// [`APPENDING_ATTEMPT`].
+    append_analysis_ns_per_step: f64,
+    /// Nanoseconds per interpreter step (grading) on [`APPENDING_ATTEMPT`].
+    append_grade_ns_per_step: f64,
+    /// `append_analysis_ns_per_step / interpreter_ns_per_step`.
+    append_analysis_interpreter_ratio: f64,
+    /// `append_grade_ns_per_step / interpreter_ns_per_step`.
+    append_grade_interpreter_ratio: f64,
     /// Nanoseconds of the ILP stage (encoding and solving, every cluster)
     /// in one repair of [`RHOMBUS_ATTEMPT`].
     rhombus_ilp_ns: f64,
@@ -129,11 +156,12 @@ fn ns_per_step(mut run: impl FnMut() -> u64) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// `(analysis ns/step, interpreter ns/step)` on [`DIVERGING_ATTEMPT`].
-fn step_costs() -> (f64, f64) {
+/// `(analysis ns/step, interpreter ns/step)` on `attempt`, a `derivatives`
+/// attempt that runs out of fuel.
+fn step_costs(attempt: &str) -> (f64, f64) {
     let problem = derivatives();
     let inputs = problem.inputs();
-    let source = parse_program(DIVERGING_ATTEMPT).expect("the diverging attempt parses");
+    let source = parse_program(attempt).expect("the diverging attempt parses");
     let program = lower_entry(&source, problem.entry).expect("the diverging attempt lowers");
     let analysis = ns_per_step(|| {
         let analyzed = AnalyzedProgram::from_program(program.clone(), &inputs, Fuel::default());
@@ -268,7 +296,8 @@ fn main() {
         problems.push(row);
     }
 
-    let (analysis_ns_per_step, interpreter_ns_per_step) = step_costs();
+    let (analysis_ns_per_step, interpreter_ns_per_step) = step_costs(DIVERGING_ATTEMPT);
+    let (append_analysis_ns_per_step, append_grade_ns_per_step) = step_costs(APPENDING_ATTEMPT);
     let engine = rhombus_engine();
     let rhombus_ilp_ns = rhombus_ilp_ns(&engine);
     let (ted_pairs, ted_ns_per_distance) = rhombus_ted_ns(&engine);
@@ -282,6 +311,10 @@ fn main() {
         analysis_ns_per_step,
         interpreter_ns_per_step,
         analysis_interpreter_ratio: analysis_ns_per_step / interpreter_ns_per_step,
+        append_analysis_ns_per_step,
+        append_grade_ns_per_step,
+        append_analysis_interpreter_ratio: append_analysis_ns_per_step / interpreter_ns_per_step,
+        append_grade_interpreter_ratio: append_grade_ns_per_step / interpreter_ns_per_step,
         rhombus_ilp_ns,
         ilp_interpreter_ratio: rhombus_ilp_ns / interpreter_ns_per_step,
         ted_pairs,
@@ -303,6 +336,14 @@ fn main() {
     println!(
         "Per-step cost on a diverging attempt: analysis {:.0} ns, interpreter {:.0} ns (ratio {:.2})",
         report.analysis_ns_per_step, report.interpreter_ns_per_step, report.analysis_interpreter_ratio,
+    );
+    println!(
+        "Per-step cost on an appending attempt: analysis {:.0} ns ({:.2} scalar interpreter steps), \
+         grading {:.0} ns ({:.2})",
+        report.append_analysis_ns_per_step,
+        report.append_analysis_interpreter_ratio,
+        report.append_grade_ns_per_step,
+        report.append_grade_interpreter_ratio,
     );
     println!(
         "ILP stage of the fixed rhombus repair: {:.2} ms ({:.0} interpreter steps)",

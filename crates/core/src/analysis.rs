@@ -9,6 +9,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
+use clara_lang::value::hash_slice;
 use clara_lang::Value;
 use clara_model::frontend::{FrontendError, Lang, ParsedSubmission};
 use clara_model::{execute_on_inputs, Fuel, LowerError, Program, StructSig, Trace};
@@ -164,9 +165,16 @@ impl AnalyzedProgram {
 /// Hashes the projection of every variable of the program once: the
 /// per-trace columns concatenated, each followed by a separator value so
 /// that trace boundaries cannot be confused, prefixed by the total length.
+///
+/// Consecutive versions of a long list share their full chunks, so each
+/// full chunk is walked once and its recorded bytes are written for every
+/// later entry holding it: the stream, and so the hash, is the same. A
+/// chunk is keyed by its address, which names one immutable chunk because
+/// the traces, and every chunk in them, outlive the call.
 fn projection_hashes(program: &Program, traces: &[Trace]) -> HashMap<String, u64> {
     let separator = Value::str("⋄");
     let len: usize = traces.iter().map(|t| t.steps.len() + 1).sum();
+    let mut chunks: HashMap<*const Value, Vec<u8>> = HashMap::new();
     program
         .vars
         .iter()
@@ -175,13 +183,34 @@ fn projection_hashes(program: &Program, traces: &[Trace]) -> HashMap<String, u64
             len.hash(&mut hasher);
             for trace in traces {
                 for value in trace.projection(var) {
-                    value.hash(&mut hasher);
+                    value.hash_chunked(&mut hasher, |chunk, hasher| {
+                        let bytes = chunks.entry(chunk.as_ptr()).or_insert_with(|| {
+                            let mut recorder = Recorder::default();
+                            hash_slice(chunk, &mut recorder);
+                            recorder.0
+                        });
+                        hasher.write(bytes);
+                    });
                 }
                 separator.hash(&mut hasher);
             }
             (var.clone(), hasher.finish())
         })
         .collect()
+}
+
+/// The bytes a value's `Hash` writes.
+#[derive(Default)]
+struct Recorder(Vec<u8>);
+
+impl Hasher for Recorder {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("a recorder only collects bytes")
+    }
 }
 
 /// A [`DefaultHasher`] fed through a byte buffer: `Value`'s `Hash` writes a
@@ -293,13 +322,55 @@ def computeDeriv(poly):
         ];
         let mut direct = DefaultHasher::new();
         let mut batched = Batched::default();
+        let mut replayed = Batched::default();
         for (i, value) in values.iter().enumerate() {
             i.hash(&mut direct);
             value.hash(&mut direct);
             i.hash(&mut batched);
             value.hash(&mut batched);
             assert_eq!(batched.finish(), direct.finish(), "after {value:?}");
+            // Recorded bytes written at once, as `projection_hashes` writes
+            // a recorded chunk (the long list's bytes overfill the buffer in
+            // one write).
+            let mut recorded = Recorder::default();
+            value.hash(&mut recorded);
+            i.hash(&mut replayed);
+            replayed.write(&recorded.0);
+            assert_eq!(replayed.finish(), direct.finish(), "replaying {value:?}");
         }
+    }
+
+    #[test]
+    fn recorded_chunks_hash_like_walking_every_value() {
+        let appending = "\
+def computeDeriv(poly):
+    result = []
+    e = 1
+    n = 0
+    while e < len(poly):
+        result.append(float(poly[e] * n))
+        n = n + 1
+        if n % 50 == 0:
+            result = result[1:]
+    return result
+";
+        let fuel = Fuel { max_steps: 900, ..Fuel::default() };
+        let analyzed = AnalyzedProgram::from_text(appending, "computeDeriv", &inputs(), fuel).unwrap();
+        let len: usize = analyzed.traces.iter().map(|t| t.steps.len() + 1).sum();
+        for var in &analyzed.program.vars {
+            let mut walked = DefaultHasher::new();
+            len.hash(&mut walked);
+            for trace in &analyzed.traces {
+                trace.projection(var).for_each(|value| value.hash(&mut walked));
+                Value::str("⋄").hash(&mut walked);
+            }
+            assert_eq!(analyzed.projection_hash(var), walked.finish(), "{var}");
+        }
+        let longest = analyzed.traces.iter().flat_map(|t| t.projection("result")).map(|v| match v {
+            Value::List(items) => items.len(),
+            _ => 0,
+        });
+        assert!(longest.max() > Some(2 * clara_lang::value::WIDTH));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use crate::ast::{BinOp, Expr, Lit, UnOp};
 use crate::error::{EvalError, EvalErrorKind};
-use crate::value::{ops, Value};
+use crate::value::{check_sequence_len, ops, Value};
 
 /// A read-only variable environment used during expression evaluation.
 pub trait Env {
@@ -215,20 +215,13 @@ pub fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             if step == 0 {
                 return Err(EvalError::other("range() step must not be zero"));
             }
-            let mut out = Vec::new();
-            let mut i = start;
-            if step > 0 {
-                while i < stop {
-                    out.push(Value::Int(i));
-                    i += step;
-                }
-            } else {
-                while i > stop {
-                    out.push(Value::Int(i));
-                    i += step;
-                }
-            }
-            Ok(Value::list(out))
+            // ceil((stop - start) / step), in i128 so no operand overflows.
+            let (span, step) = (i128::from(stop) - i128::from(start), i128::from(step));
+            let count =
+                if (span > 0) == (step > 0) && span != 0 { (span.abs() - 1) / step.abs() + 1 } else { 0 };
+            check_sequence_len(usize::try_from(count).unwrap_or(usize::MAX))?;
+            let values = (0..count).map(|k| Value::Int((i128::from(start) + k * step) as i64));
+            Ok(Value::List(values.collect()))
         }
         "len" => match args {
             [Value::List(v)] | [Value::Tuple(v)] => Ok(Value::Int(v.len() as i64)),
@@ -281,7 +274,7 @@ pub fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             _ => Err(arity_error("bool", "1", args.len())),
         },
         "abs" => match args {
-            [Value::Int(i)] => Ok(Value::Int(i.abs())),
+            [Value::Int(i)] => Ok(Value::Int(i.wrapping_abs())),
             [Value::Float(f)] => Ok(Value::Float(f.abs())),
             [Value::Bool(b)] => Ok(Value::Int(i64::from(*b))),
             [other] => {
@@ -289,26 +282,11 @@ pub fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             }
             _ => Err(arity_error("abs", "1", args.len())),
         },
-        "min" | "max" => {
-            let items: &[Value] = match args {
-                [Value::List(v)] | [Value::Tuple(v)] => v,
-                _ if args.len() >= 2 => args,
-                _ => return Err(arity_error(name, "an iterable or at least 2", args.len())),
-            };
-            if items.is_empty() {
-                return Err(EvalError::other(format!("{name}() of empty sequence")));
-            }
-            let mut best = items[0].clone();
-            for item in &items[1..] {
-                let ord =
-                    item.py_cmp(&best).ok_or_else(|| EvalError::type_error("values are not comparable"))?;
-                let take = if name == "min" { ord.is_lt() } else { ord.is_gt() };
-                if take {
-                    best = item.clone();
-                }
-            }
-            Ok(best)
-        }
+        "min" | "max" => match args {
+            [Value::List(v)] | [Value::Tuple(v)] => extreme(name, v.iter()),
+            _ if args.len() >= 2 => extreme(name, args.iter()),
+            _ => Err(arity_error(name, "an iterable or at least 2", args.len())),
+        },
         "sum" => match args {
             [Value::List(v)] | [Value::Tuple(v)] => {
                 let mut acc = Value::Int(0);
@@ -360,7 +338,8 @@ pub fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
         // --- Program-model builtins -------------------------------------
         "append" => match args {
             [Value::List(v), item] => {
-                Ok(Value::List(v.iter().cloned().chain(std::iter::once(item.clone())).collect()))
+                check_sequence_len(v.len() + 1)?;
+                Ok(Value::List(v.push(item.clone())))
             }
             [other, _] => {
                 Err(EvalError::type_error(format!("append() expects a list, got {}", other.type_name())))
@@ -379,8 +358,8 @@ pub fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             _ => Err(arity_error("head", "1 (a sequence)", args.len())),
         },
         "tail" => match args {
-            [Value::List(v)] => Ok(Value::List(v.iter().skip(1).cloned().collect())),
-            [Value::Tuple(v)] => Ok(Value::Tuple(v.iter().skip(1).cloned().collect())),
+            [Value::List(v)] => Ok(Value::List(v.tail())),
+            [Value::Tuple(v)] => Ok(Value::Tuple(v.tail())),
             [Value::Str(s)] => Ok(Value::str(s.chars().skip(1).collect::<String>())),
             _ => Err(arity_error("tail", "1 (a sequence)", args.len())),
         },
@@ -409,6 +388,19 @@ pub fn call_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
     }
 }
 
+/// The least (`min`) or greatest (`max`) of `items`; the first of equals.
+fn extreme<'a>(name: &str, mut items: impl Iterator<Item = &'a Value>) -> Result<Value, EvalError> {
+    let mut best = items.next().ok_or_else(|| EvalError::other(format!("{name}() of empty sequence")))?;
+    for item in items {
+        let ord = item.py_cmp(best).ok_or_else(|| EvalError::type_error("values are not comparable"))?;
+        let take = if name == "min" { ord.is_lt() } else { ord.is_gt() };
+        if take {
+            best = item;
+        }
+    }
+    Ok(best.clone())
+}
+
 fn eval_method(recv: &Value, name: &str, args: &[Value]) -> Result<Value, EvalError> {
     match (recv, name) {
         (Value::List(_), "append") => {
@@ -421,10 +413,7 @@ fn eval_method(recv: &Value, name: &str, args: &[Value]) -> Result<Value, EvalEr
             if !args.is_empty() {
                 return Err(arity_error("pop", "0", args.len()));
             }
-            if v.is_empty() {
-                return Err(EvalError::index_error("pop from empty list"));
-            }
-            Ok(Value::list(v[..v.len() - 1].to_vec()))
+            v.pop().map(Value::List).ok_or_else(|| EvalError::index_error("pop from empty list"))
         }
         (Value::List(v), "index") => match args {
             [needle] => v
@@ -524,6 +513,38 @@ mod tests {
             eval("range(5, 0, -2)", &e).unwrap(),
             Value::list(vec![Value::Int(5), Value::Int(3), Value::Int(1)])
         );
+    }
+
+    #[test]
+    fn overflowing_integer_builtins_wrap_or_stop() {
+        let e = env(&[]);
+        assert_eq!(eval("(-9223372036854775807 - 1) // -1", &e).unwrap(), Value::Int(i64::MIN));
+        assert_eq!(eval("(-9223372036854775807 - 1) % -1", &e).unwrap(), Value::Int(0));
+        assert_eq!(eval("-(-9223372036854775807 - 1)", &e).unwrap(), Value::Int(i64::MIN));
+        assert_eq!(eval("abs(-9223372036854775807 - 1)", &e).unwrap(), Value::Int(i64::MIN));
+        // The next element would pass `i64::MAX`: the range stops, as it
+        // does in Python.
+        assert_eq!(
+            eval("range(9223372036854775805, 9223372036854775807, 3)", &e).unwrap(),
+            Value::list(vec![Value::Int(i64::MAX - 2)])
+        );
+        assert_eq!(
+            eval("range(-9223372036854775807, -9223372036854775807 - 1, -5)", &e).unwrap(),
+            Value::list(vec![Value::Int(-i64::MAX)])
+        );
+        assert_eq!(
+            eval("len(range(-9223372036854775807, 9223372036854775807, 9223372036854775807))", &e).unwrap(),
+            Value::Int(2)
+        );
+    }
+
+    #[test]
+    fn range_refuses_a_sequence_past_the_ceiling_before_building_it() {
+        let e = env(&[]);
+        assert!(eval("range(1000000000000)", &e).is_err());
+        assert!(eval("range(-9223372036854775807, 9223372036854775807)", &e).is_err());
+        assert!(eval("[0] * 1000000000000", &e).is_err());
+        assert!(eval("'a' * 1000000000000", &e).is_err());
     }
 
     #[test]

@@ -278,12 +278,9 @@ impl<'p> Interp<'p> {
                             } else {
                                 let base = self.eval(&call_args[0], env)?;
                                 match base {
-                                    Value::List(v) if !v.is_empty() => Value::list(v[..v.len() - 1].to_vec()),
-                                    Value::List(_) => {
-                                        return Err(InterpError::Eval(EvalError::index_error(
-                                            "pop from empty list",
-                                        )))
-                                    }
+                                    Value::List(v) => v.pop().map(Value::List).ok_or_else(|| {
+                                        InterpError::Eval(EvalError::index_error("pop from empty list"))
+                                    })?,
                                     other => {
                                         return Err(InterpError::Eval(EvalError::type_error(format!(
                                             "{} object has no method pop",

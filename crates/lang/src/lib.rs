@@ -51,6 +51,7 @@ pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+pub mod seq;
 pub mod serde_impls;
 pub mod spec;
 pub mod token;
@@ -63,4 +64,4 @@ pub use interp::{run_function, Execution, Limits};
 pub use parser::{parse_expression, parse_program};
 pub use pretty::{expr_to_string, function_to_string, program_to_string, stmt_to_string};
 pub use spec::{Expected, GradeReport, ProblemSpec, TestCase, TestResult};
-pub use value::Value;
+pub use value::{Seq, Value};

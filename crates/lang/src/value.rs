@@ -6,22 +6,48 @@
 //! follow Python-like semantics; any failing operation reports an
 //! [`EvalError`] which the program model maps to `⊥`.
 //!
-//! Strings, lists and tuples are backed by [`Arc`], so cloning a value is
-//! O(1) regardless of its size. Trace execution copies a memory per step
-//! and every environment lookup clones the looked-up value, so cheap clones
-//! are what keeps the matching/repair hot path out of `memcpy`. The values
-//! themselves are immutable (all operations build new values), so sharing is
-//! never observable. `Arc` rather than `Rc` because repair processes
-//! clusters on multiple threads and traces are shared across them.
+//! Values are immutable and cloning one is O(1): a string is an [`Arc`], and
+//! lists and tuples are persistent [`Seq`]uences, which share structure with
+//! the version they were built from. Trace execution keeps every step's
+//! memory alive and every environment lookup clones the looked-up value, so
+//! cheap clones keep the matching/repair hot path out of `memcpy`, and
+//! sharing keeps a loop that appends to a list at O(n log n) time and O(n)
+//! memory over its whole trace instead of O(n²). Since nothing is mutated
+//! in place, sharing is never observable. `Arc` rather than `Rc` because
+//! repair processes clusters on multiple threads and traces are shared
+//! across them.
+//!
+//! Integer arithmetic wraps at 64 bits instead of panicking, and the
+//! operations that build a sequence or a string refuse to build one longer
+//! than [`MAX_SEQUENCE_LEN`] before they allocate it.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::{EvalError, EvalErrorKind};
+pub use crate::seq::{Seq, WIDTH};
+
+/// The longest list, tuple or string (in bytes) an operation may build.
+/// Far above what any assignment builds; it bounds what a diverging or
+/// hostile program can make one step allocate.
+pub const MAX_SEQUENCE_LEN: usize = 1 << 20;
+
+/// `Ok` when a sequence of `len` elements may be built.
+///
+/// # Errors
+///
+/// Returns an error when `len` exceeds [`MAX_SEQUENCE_LEN`].
+pub fn check_sequence_len(len: usize) -> Result<(), EvalError> {
+    if len > MAX_SEQUENCE_LEN {
+        Err(EvalError::other(format!("sequence of {len} elements exceeds the limit of {MAX_SEQUENCE_LEN}")))
+    } else {
+        Ok(())
+    }
+}
 
 /// A runtime value of the MiniPy language. Cloning is O(1): the sequence and
-/// string payloads are reference-counted.
+/// string payloads are shared.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// A 64-bit signed integer.
@@ -33,9 +59,9 @@ pub enum Value {
     /// An immutable string.
     Str(Arc<str>),
     /// A list of values.
-    List(Arc<[Value]>),
+    List(Seq),
     /// A tuple of values.
-    Tuple(Arc<[Value]>),
+    Tuple(Seq),
     /// Python's `None`.
     None,
     /// The undefined value `⊥` of the computation domain (Definition 3.3).
@@ -48,14 +74,26 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Builds a list value from a vector (or other owned sequence) of values.
-    pub fn list(items: impl Into<Arc<[Value]>>) -> Value {
+    /// Builds a list value from a vector (or a [`Seq`]) of values.
+    pub fn list(items: impl Into<Seq>) -> Value {
         Value::List(items.into())
     }
 
-    /// Builds a tuple value from a vector (or other owned sequence) of values.
-    pub fn tuple(items: impl Into<Arc<[Value]>>) -> Value {
+    /// Builds a tuple value from a vector (or a [`Seq`]) of values.
+    pub fn tuple(items: impl Into<Seq>) -> Value {
         Value::Tuple(items.into())
+    }
+
+    /// Approximate size of the value: scalars count 1, strings 1 plus their
+    /// length in bytes, and lists and tuples 1 plus the sum over their
+    /// elements. O(1) for a long sequence whose size is already known (see
+    /// [`Seq::size_units`]).
+    pub fn size_units(&self) -> usize {
+        match self {
+            Value::Int(_) | Value::Float(_) | Value::Bool(_) | Value::None | Value::Undef => 1,
+            Value::Str(s) => 1 + s.len(),
+            Value::List(items) | Value::Tuple(items) => items.size_units().saturating_add(1),
+        }
     }
 
     /// Returns `true` if the value is the undefined value `⊥`.
@@ -171,6 +209,20 @@ impl PartialEq for Value {
 /// hashing as a sound pre-filter for dynamic equivalence.
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hash_chunked(state, hash_slice);
+    }
+}
+
+impl Value {
+    /// Writes to `state` what [`Hash`] writes, except that each full
+    /// [`WIDTH`]-element chunk of this list or tuple (not of nested ones) is
+    /// handed to `full_chunk`, which must write what hashing the chunk's
+    /// elements in order writes.
+    ///
+    /// The consecutive versions of a long list share most of their chunks,
+    /// so a caller hashing many of them can write each shared chunk's bytes
+    /// from a record instead of walking its elements again.
+    pub fn hash_chunked<H: Hasher>(&self, state: &mut H, mut full_chunk: impl FnMut(&[Value], &mut H)) {
         match self {
             Value::Undef => state.write_u8(0),
             Value::None => state.write_u8(1),
@@ -178,18 +230,15 @@ impl Hash for Value {
                 state.write_u8(2);
                 s.hash(state);
             }
-            Value::List(items) => {
-                state.write_u8(3);
+            Value::List(items) | Value::Tuple(items) => {
+                state.write_u8(if matches!(self, Value::List(_)) { 3 } else { 4 });
                 state.write_usize(items.len());
-                for item in items.iter() {
-                    item.hash(state);
-                }
-            }
-            Value::Tuple(items) => {
-                state.write_u8(4);
-                state.write_usize(items.len());
-                for item in items.iter() {
-                    item.hash(state);
+                for chunk in items.chunks() {
+                    if chunk.len() == WIDTH {
+                        full_chunk(chunk, state);
+                    } else {
+                        hash_slice(chunk, state);
+                    }
                 }
             }
             Value::Int(_) | Value::Float(_) | Value::Bool(_) => {
@@ -199,6 +248,13 @@ impl Hash for Value {
                 state.write_u64(bits);
             }
         }
+    }
+}
+
+/// Hashes the elements in order, without a length.
+pub fn hash_slice<H: Hasher>(items: &[Value], state: &mut H) {
+    for item in items {
+        item.hash(state);
     }
 }
 
@@ -280,6 +336,23 @@ impl From<Vec<Value>> for Value {
     }
 }
 
+/// The integer value of an index operand (`Int` or `Bool`).
+fn int_index(idx: &Value, what: &str) -> Result<i64, EvalError> {
+    match idx {
+        Value::Int(i) => Ok(*i),
+        Value::Bool(b) => Ok(i64::from(*b)),
+        _ => Err(EvalError::type_error(format!("{what} must be integers, not {}", idx.type_name()))),
+    }
+}
+
+/// The position `i` (negative counts from the end) names in a sequence of
+/// `n` elements, if it is in range.
+fn resolve_index(i: i64, n: usize) -> Option<usize> {
+    let n = n as i64;
+    let real = if i < 0 { i + n } else { i };
+    (0..n).contains(&real).then_some(real as usize)
+}
+
 fn type_error(op: &str, a: &Value, b: &Value) -> EvalError {
     EvalError::type_error(format!(
         "unsupported operand types for {op}: {} and {}",
@@ -309,10 +382,17 @@ pub mod ops {
     /// Addition / concatenation (`+`).
     pub fn add(a: &Value, b: &Value) -> Result<Value, EvalError> {
         match (a, b) {
-            (Value::Str(x), Value::Str(y)) => Ok(Value::str(format!("{x}{y}"))),
-            (Value::List(x), Value::List(y)) => Ok(Value::List(x.iter().chain(y.iter()).cloned().collect())),
+            (Value::Str(x), Value::Str(y)) => {
+                check_sequence_len(x.len() + y.len())?;
+                Ok(Value::str(format!("{x}{y}")))
+            }
+            (Value::List(x), Value::List(y)) => {
+                check_sequence_len(x.len() + y.len())?;
+                Ok(Value::List(x.concat(y)))
+            }
             (Value::Tuple(x), Value::Tuple(y)) => {
-                Ok(Value::Tuple(x.iter().chain(y.iter()).cloned().collect()))
+                check_sequence_len(x.len() + y.len())?;
+                Ok(Value::Tuple(x.concat(y)))
             }
             _ => {
                 if let Some((x, y)) = both_ints(a, b) {
@@ -339,26 +419,26 @@ pub mod ops {
 
     /// Multiplication / repetition (`*`).
     pub fn mul(a: &Value, b: &Value) -> Result<Value, EvalError> {
-        fn repeat<T: Clone>(items: &[T], n: i64) -> Vec<T> {
-            if n <= 0 {
-                Vec::new()
-            } else {
-                let mut out = Vec::with_capacity(items.len() * n as usize);
-                for _ in 0..n {
-                    out.extend(items.iter().cloned());
-                }
-                out
-            }
+        /// The repetition count of `len` elements `n` times, if the result
+        /// may be built.
+        fn times(len: usize, n: i64) -> Result<usize, EvalError> {
+            let n = usize::try_from(n).unwrap_or(0);
+            check_sequence_len(len.saturating_mul(n))?;
+            Ok(n)
+        }
+        fn repeat(items: &Seq, n: i64) -> Result<Seq, EvalError> {
+            let n = times(items.len(), n)?;
+            Ok((0..n).flat_map(|_| items.iter().cloned()).collect())
         }
         match (a, b) {
             (Value::Str(s), Value::Int(n)) | (Value::Int(n), Value::Str(s)) => {
-                Ok(Value::str(s.repeat((*n).max(0) as usize)))
+                Ok(Value::str(s.repeat(times(s.len(), *n)?)))
             }
             (Value::List(v), Value::Int(n)) | (Value::Int(n), Value::List(v)) => {
-                Ok(Value::list(repeat(v, *n)))
+                Ok(Value::List(repeat(v, *n)?))
             }
             (Value::Tuple(v), Value::Int(n)) | (Value::Int(n), Value::Tuple(v)) => {
-                Ok(Value::tuple(repeat(v, *n)))
+                Ok(Value::Tuple(repeat(v, *n)?))
             }
             _ => {
                 if let Some((x, y)) = both_ints(a, b) {
@@ -392,7 +472,7 @@ pub mod ops {
             if y == 0 {
                 return Err(EvalError::new(EvalErrorKind::DivisionByZero));
             }
-            Ok(Value::Int(x.div_euclid(y)))
+            Ok(Value::Int(x.wrapping_div_euclid(y)))
         } else if let (Some(x), Some(y)) = (a.as_number(), b.as_number()) {
             if y == 0.0 {
                 return Err(EvalError::new(EvalErrorKind::DivisionByZero));
@@ -409,7 +489,7 @@ pub mod ops {
             if y == 0 {
                 return Err(EvalError::new(EvalErrorKind::DivisionByZero));
             }
-            Ok(Value::Int(x.rem_euclid(y)))
+            Ok(Value::Int(x.wrapping_rem_euclid(y)))
         } else if let (Some(x), Some(y)) = (a.as_number(), b.as_number()) {
             if y == 0.0 {
                 return Err(EvalError::new(EvalErrorKind::DivisionByZero));
@@ -437,7 +517,7 @@ pub mod ops {
     /// Unary negation (`-`).
     pub fn neg(a: &Value) -> Result<Value, EvalError> {
         match a {
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
             Value::Float(f) => Ok(Value::Float(-f)),
             Value::Bool(b) => Ok(Value::Int(-i64::from(*b))),
             _ => Err(EvalError::type_error(format!("bad operand type for unary -: {}", a.type_name()))),
@@ -460,85 +540,50 @@ pub mod ops {
 
     /// Sequence/string indexing with Python negative-index semantics.
     pub fn index(base: &Value, idx: &Value) -> Result<Value, EvalError> {
-        let i = match idx {
-            Value::Int(i) => *i,
-            Value::Bool(b) => i64::from(*b),
-            _ => {
-                return Err(EvalError::type_error(format!(
-                    "indices must be integers, not {}",
-                    idx.type_name()
-                )))
-            }
-        };
-        let items: &[Value] = match base {
-            Value::List(v) | Value::Tuple(v) => v,
+        let i = int_index(idx, "indices")?;
+        match base {
+            Value::List(v) | Value::Tuple(v) => resolve_index(i, v.len())
+                .and_then(|real| v.get(real))
+                .cloned()
+                .ok_or_else(|| EvalError::index_error("list index out of range")),
             Value::Str(s) => {
                 let chars: Vec<char> = s.chars().collect();
-                let n = chars.len() as i64;
-                let real = if i < 0 { i + n } else { i };
-                if real < 0 || real >= n {
-                    return Err(EvalError::index_error("string index out of range"));
-                }
-                return Ok(Value::str(chars[real as usize].to_string()));
+                resolve_index(i, chars.len())
+                    .map(|real| Value::str(chars[real].to_string()))
+                    .ok_or_else(|| EvalError::index_error("string index out of range"))
             }
-            _ => return Err(EvalError::type_error(format!("{} is not subscriptable", base.type_name()))),
-        };
-        let n = items.len() as i64;
-        let real = if i < 0 { i + n } else { i };
-        if real < 0 || real >= n {
-            return Err(EvalError::index_error("list index out of range"));
+            _ => Err(EvalError::type_error(format!("{} is not subscriptable", base.type_name()))),
         }
-        Ok(items[real as usize].clone())
     }
 
     /// Slicing `base[lo:hi]` with Python clamping semantics.
     pub fn slice(base: &Value, lo: Option<&Value>, hi: Option<&Value>) -> Result<Value, EvalError> {
-        fn clamp(idx: Option<&Value>, default: i64, n: i64) -> Result<i64, EvalError> {
-            let raw = match idx {
-                Option::None => default,
-                Some(Value::Int(i)) => *i,
-                Some(Value::Bool(b)) => i64::from(*b),
-                Some(other) => {
-                    return Err(EvalError::type_error(format!(
-                        "slice indices must be integers, not {}",
-                        other.type_name()
-                    )))
-                }
+        /// The clamped `lo..hi` of a sequence of `n` elements (empty when
+        /// `lo >= hi`).
+        fn bounds(lo: Option<&Value>, hi: Option<&Value>, n: usize) -> Result<(usize, usize), EvalError> {
+            let clamp = |idx: Option<&Value>, default: usize| -> Result<usize, EvalError> {
+                let Some(idx) = idx else { return Ok(default) };
+                let raw = int_index(idx, "slice indices")?;
+                let adjusted = if raw < 0 { raw + n as i64 } else { raw };
+                Ok(adjusted.clamp(0, n as i64) as usize)
             };
-            let adjusted = if raw < 0 { raw + n } else { raw };
-            Ok(adjusted.clamp(0, n))
+            let lo = clamp(lo, 0)?;
+            let hi = clamp(hi, n)?;
+            Ok((lo.min(hi), hi))
         }
         match base {
             Value::List(v) => {
-                let n = v.len() as i64;
-                let lo = clamp(lo, 0, n)?;
-                let hi = clamp(hi, n, n)?;
-                if lo >= hi {
-                    Ok(Value::list(Vec::new()))
-                } else {
-                    Ok(Value::list(v[lo as usize..hi as usize].to_vec()))
-                }
+                let (lo, hi) = bounds(lo, hi, v.len())?;
+                Ok(Value::List(v.slice(lo, hi)))
             }
             Value::Tuple(v) => {
-                let n = v.len() as i64;
-                let lo = clamp(lo, 0, n)?;
-                let hi = clamp(hi, n, n)?;
-                if lo >= hi {
-                    Ok(Value::tuple(Vec::new()))
-                } else {
-                    Ok(Value::tuple(v[lo as usize..hi as usize].to_vec()))
-                }
+                let (lo, hi) = bounds(lo, hi, v.len())?;
+                Ok(Value::Tuple(v.slice(lo, hi)))
             }
             Value::Str(s) => {
                 let chars: Vec<char> = s.chars().collect();
-                let n = chars.len() as i64;
-                let lo = clamp(lo, 0, n)?;
-                let hi = clamp(hi, n, n)?;
-                if lo >= hi {
-                    Ok(Value::str(""))
-                } else {
-                    Ok(Value::str(chars[lo as usize..hi as usize].iter().collect::<String>()))
-                }
+                let (lo, hi) = bounds(lo, hi, chars.len())?;
+                Ok(Value::str(chars[lo..hi].iter().collect::<String>()))
             }
             _ => Err(EvalError::type_error(format!("{} is not sliceable", base.type_name()))),
         }
@@ -549,27 +594,12 @@ pub mod ops {
     /// This is the functional form of `base[idx] = value` used by the program
     /// model (`store(base, idx, value)`).
     pub fn store(base: &Value, idx: &Value, value: &Value) -> Result<Value, EvalError> {
-        let i = match idx {
-            Value::Int(i) => *i,
-            Value::Bool(b) => i64::from(*b),
-            _ => {
-                return Err(EvalError::type_error(format!(
-                    "indices must be integers, not {}",
-                    idx.type_name()
-                )))
-            }
-        };
+        let i = int_index(idx, "indices")?;
         match base {
-            Value::List(v) => {
-                let n = v.len() as i64;
-                let real = if i < 0 { i + n } else { i };
-                if real < 0 || real >= n {
-                    return Err(EvalError::index_error("list assignment index out of range"));
-                }
-                let mut out = v.to_vec();
-                out[real as usize] = value.clone();
-                Ok(Value::list(out))
-            }
+            Value::List(v) => resolve_index(i, v.len())
+                .and_then(|real| v.set(real, value.clone()))
+                .map(Value::List)
+                .ok_or_else(|| EvalError::index_error("list assignment index out of range")),
             _ => Err(EvalError::type_error(format!("{} does not support item assignment", base.type_name()))),
         }
     }
@@ -661,6 +691,38 @@ mod tests {
             Value::list(vec![Value::Int(1), Value::Int(9)])
         );
         assert!(ops::store(&lst, &Value::Int(2), &Value::Int(9)).is_err());
+    }
+
+    #[test]
+    fn integer_overflow_wraps_instead_of_panicking() {
+        let (min, minus_one) = (Value::Int(i64::MIN), Value::Int(-1));
+        assert_eq!(ops::floor_div(&min, &minus_one).unwrap(), Value::Int(i64::MIN));
+        assert_eq!(ops::modulo(&min, &minus_one).unwrap(), Value::Int(0));
+        assert_eq!(ops::neg(&min).unwrap(), Value::Int(i64::MIN));
+        assert_eq!(
+            ops::index(&Value::list(vec![Value::Int(7)]), &min).unwrap_err().kind.to_string(),
+            "index error: list index out of range"
+        );
+    }
+
+    #[test]
+    fn sequences_past_the_ceiling_are_refused_before_they_are_built() {
+        let over = Value::Int(MAX_SEQUENCE_LEN as i64 + 1);
+        assert!(ops::mul(&Value::list(vec![Value::Int(0)]), &over).is_err());
+        assert!(ops::mul(&Value::Int(1_000_000_000_000), &Value::tuple(vec![Value::None])).is_err());
+        assert!(ops::mul(&Value::str("ab"), &Value::Int(i64::MAX)).is_err());
+        assert!(ops::mul(&Value::list(vec![Value::Int(0); 3]), &Value::Int(i64::MAX / 2)).is_err());
+        let half = Value::str("a".repeat(MAX_SEQUENCE_LEN / 2 + 1));
+        assert!(ops::add(&half, &half).is_err());
+        // At the ceiling itself a string is still built.
+        let exact = ops::mul(&Value::str("a"), &Value::Int(MAX_SEQUENCE_LEN as i64)).unwrap();
+        assert_eq!(exact.size_units(), MAX_SEQUENCE_LEN + 1);
+        assert_eq!(ops::mul(&Value::str("ab"), &Value::Int(i64::MIN)).unwrap(), Value::str(""));
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]

@@ -214,7 +214,7 @@ pub struct Fuel {
     /// Maximum number of trace steps (locations visited).
     pub max_steps: usize,
     /// Maximum size of any single value produced by an update, in
-    /// [`value_size_units`]. A trace keeps every step's post-state alive, so
+    /// [`Value::size_units`]. A trace keeps every step's post-state alive, so
     /// a diverging program that *grows* data every iteration (`out = out +
     /// line` in an infinite loop) would otherwise stay within `max_steps`
     /// while the values its trace holds balloon to gigabytes.
@@ -224,16 +224,6 @@ pub struct Fuel {
 impl Default for Fuel {
     fn default() -> Self {
         Fuel { max_steps: 5_000, max_value_units: 64 * 1024 }
-    }
-}
-
-/// Approximate size of a value: scalars count 1, strings their length, and
-/// containers the sum over their elements (plus 1 for the container).
-pub fn value_size_units(value: &Value) -> usize {
-    match value {
-        Value::Int(_) | Value::Float(_) | Value::Bool(_) | Value::None | Value::Undef => 1,
-        Value::Str(s) => 1 + s.len(),
-        Value::List(items) | Value::Tuple(items) => 1 + items.iter().map(value_size_units).sum::<usize>(),
     }
 }
 
@@ -304,7 +294,7 @@ impl<'p> Executor<'p> {
                 let memory = Memory { slots: &self.slots, values: &pre };
                 for &(slot, expr) in updates {
                     let value = eval_expr(expr, &memory).unwrap_or(Value::Undef);
-                    oversized |= value_size_units(&value) > fuel.max_value_units;
+                    oversized |= value.size_units() > fuel.max_value_units;
                     values[slot] = value;
                 }
                 post
@@ -417,8 +407,8 @@ def f(n):
         let trace = execute(&program, &[Value::str("ab")], fuel);
         assert_eq!(trace.status, TraceStatus::OutOfFuel);
         let last = trace.post(trace.steps.len() - 1);
-        assert!(value_size_units(last.get("s").unwrap()) > 100);
+        assert!(last.get("s").unwrap().size_units() > 100);
         let before = trace.pre(trace.steps.len() - 1);
-        assert!(value_size_units(before.get("s").unwrap()) <= 100);
+        assert!(before.get("s").unwrap().size_units() <= 100);
     }
 }

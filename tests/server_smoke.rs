@@ -140,6 +140,64 @@ fn serve_answers_ndjson_requests_and_shuts_down_cleanly() {
     assert!(status.success(), "serve must exit 0 on EOF, got {status:?}");
 }
 
+/// A correct `derivatives` solution that also computes `i64::MIN // -1`,
+/// `i64::MIN % -1`, `-i64::MIN`, `abs(i64::MIN)` and a range ending at
+/// `i64::MAX`: every one of them overflows 64 bits.
+const OVERFLOWING: &str = "\
+def computeDeriv(poly):
+    low = -9223372036854775807 - 1
+    spare = [low // -1, low % -1, -low, abs(low)]
+    for k in range(9223372036854775805, 9223372036854775807, 3):
+        spare.append(k)
+    result = []
+    for e in range(1, len(poly)):
+        result.append(float(poly[e]*e))
+    if result == []:
+        return [0.0]
+    else:
+        return result
+";
+
+/// An attempt that asks for a list of 10^12 elements.
+const OVERSIZED: &str = "\
+def computeDeriv(poly):
+    result = [0.0] * 1000000000000
+    return result
+";
+
+#[test]
+fn serve_answers_overflowing_and_oversized_arithmetic() {
+    let mut child = Command::new(CLI)
+        .args(["serve", "derivatives", "--pool-size", "12", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning clara-cli serve");
+    {
+        let stdin = child.stdin.as_mut().expect("piped stdin");
+        for (id, source) in [(1u64, OVERFLOWING), (2, OVERSIZED), (3, CORRECT)] {
+            writeln!(stdin, "{}", request_line(id, source)).expect("writing request");
+        }
+    }
+    drop(child.stdin.take());
+
+    let stdout = child.stdout.take().expect("piped stdout");
+    let responses: Vec<Response> = BufReader::new(stdout)
+        .lines()
+        .map(|line| serde_json::from_str(&line.expect("reading response line")).expect("a response"))
+        .collect();
+    assert_eq!(responses.len(), 3, "one response per request: {responses:?}");
+    let by_id = |id: u64| responses.iter().find(|r| r.id == id).expect("response by id");
+    // Overflow wraps, so grading runs to the end and passes.
+    assert_eq!(by_id(1).status, Status::Correct, "{:?}", by_id(1));
+    // The oversized list is an evaluation error: the attempt is graded
+    // incorrect and goes to repair.
+    assert!(matches!(by_id(2).status, Status::Repaired | Status::NoRepair), "{:?}", by_id(2));
+    assert_eq!(by_id(3).status, Status::Correct);
+    assert!(child.wait().expect("waiting for clara-cli serve").success());
+}
+
 /// The MiniC end-to-end smoke: `clara-cli serve` brings a MiniC problem
 /// online (parse → cluster), repairs a buggy C submission through the same
 /// NDJSON protocol, and the feedback renders expressions in C syntax.

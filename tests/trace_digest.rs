@@ -6,9 +6,16 @@
 //! every dataset attempt of all twelve problems, correct and incorrect, to
 //! one FNV-1a digest; `correct_solutions_complete_under_default_fuel`
 //! checks that the analysis budget never cuts a correct solution short.
+//!
+//! `dataset_behaviour_hashes_match_the_pinned_digest` fixes the hashes the
+//! cluster store persists: every attempt's behaviour `fingerprint` and its
+//! `behaviour_signals` (which carry the per-variable projection hashes).
+//! They hash values through `Value`'s `Hash`, so a change to how values are
+//! represented must leave those byte streams exactly as they were.
 
 use std::fmt::Write as _;
 
+use clara_core::{behaviour_signals, AnalyzedProgram};
 use clara_corpus::{all_problems_all_langs, frontend_for, generate_dataset_for, DatasetConfig};
 use clara_lang::Value;
 use clara_model::{execute_on_inputs, Fuel, Program, TraceStatus};
@@ -19,6 +26,23 @@ const PINNED_DIGEST: u64 = 0x8232_8939_0644_9b9c;
 
 /// The number of traces behind [`PINNED_DIGEST`].
 const PINNED_TRACES: usize = 11_308;
+
+/// The digest of the default-config datasets' behaviour fingerprints and
+/// signals, plus [`APPENDING_ATTEMPT`]'s. Taken before lists became
+/// persistent sequences: a change here means a stored index would no
+/// longer find what it holds.
+const PINNED_BEHAVIOUR_DIGEST: u64 = 0xafd4_c220_9180_e52a;
+
+/// A `derivatives` attempt whose loop appends and never advances: its
+/// traces hold thousands of list versions, each one element longer.
+const APPENDING_ATTEMPT: &str = "\
+def computeDeriv(poly):
+    result = []
+    e = 1
+    while e < len(poly):
+        result.append(float(poly[e] * e))
+    return result
+";
 
 /// FNV-1a over bytes: fixed by its specification, unlike `DefaultHasher`.
 struct Fnv(u64);
@@ -104,4 +128,50 @@ fn correct_solutions_complete_under_default_fuel() {
         }
     }
     assert!(longest * 10 < Fuel::default().max_steps, "longest correct trace: {longest} steps");
+}
+
+#[test]
+fn dataset_behaviour_hashes_match_the_pinned_digest() {
+    let mut digest = Fnv::new();
+    let mut analysed = 0usize;
+    for problem in all_problems_all_langs() {
+        let dataset = generate_dataset_for(&problem, DatasetConfig::default());
+        let inputs = problem.inputs();
+        let appending = (problem.name == "derivatives").then_some(APPENDING_ATTEMPT);
+        let sources = dataset.correct.iter().chain(&dataset.incorrect).map(|a| a.source.as_str());
+        for source in sources.chain(appending) {
+            digest.bytes(problem.name.as_bytes());
+            match AnalyzedProgram::from_text_in(problem.lang, source, problem.entry, &inputs, Fuel::default())
+            {
+                Ok(analyzed) => {
+                    analysed += 1;
+                    digest.bytes(&analyzed.fingerprint.to_le_bytes());
+                    for signal in behaviour_signals(&analyzed) {
+                        digest.bytes(&signal.to_le_bytes());
+                    }
+                }
+                Err(e) => digest.bytes(e.to_string().as_bytes()),
+            }
+        }
+    }
+    assert!(analysed > 0);
+    assert_eq!(digest.0, PINNED_BEHAVIOUR_DIGEST, "behaviour digest {:#018x}", digest.0);
+}
+
+#[test]
+fn the_appending_attempt_grows_its_list_until_fuel_runs_out() {
+    let problem = clara_corpus::mooc::derivatives();
+    let inputs = problem.inputs();
+    let analyzed =
+        AnalyzedProgram::from_text(APPENDING_ATTEMPT, problem.entry, &inputs, Fuel::default()).unwrap();
+    let longest = analyzed
+        .traces
+        .iter()
+        .filter(|trace| trace.status == TraceStatus::OutOfFuel)
+        .filter_map(|trace| match trace.post(trace.steps.len() - 1).get("result") {
+            Some(Value::List(items)) => Some(items.len()),
+            _ => None,
+        })
+        .max();
+    assert!(longest.is_some_and(|n| n > 1_000), "longest list: {longest:?}");
 }
