@@ -18,7 +18,11 @@
 //! and never advances, prices a growing list: its analysis and its grading
 //! (the interpreter) per step, each divided by the interpreter's cost per
 //! step on the scalar attempt. A list that is copied on every append makes
-//! both quadratic in the loop length; CI caps both ratios.
+//! both quadratic in the loop length; CI caps both ratios. It also times
+//! one whole `Clara::repair_source` of that attempt against the clusters of
+//! the default `derivatives` dataset, in the same unit: an incorrect
+//! attempt analysed to full fuel, thousands of steps past anything a stored
+//! solution can match, trips that cap.
 //!
 //! It prices the ILP the same way: the ILP-stage time of one repair of the
 //! fixed `rhombus` attempt [`RHOMBUS_ATTEMPT`], whose ILP is the largest of
@@ -130,6 +134,11 @@ struct ThroughputReport {
     append_analysis_interpreter_ratio: f64,
     /// `append_grade_ns_per_step / interpreter_ns_per_step`.
     append_grade_interpreter_ratio: f64,
+    /// Nanoseconds of one `Clara::repair_source` of [`APPENDING_ATTEMPT`]
+    /// against the default `derivatives` dataset's clusters.
+    append_repair_ns: f64,
+    /// `append_repair_ns / interpreter_ns_per_step`.
+    append_repair_interpreter_ratio: f64,
     /// Nanoseconds of the ILP stage (encoding and solving, every cluster)
     /// in one repair of [`RHOMBUS_ATTEMPT`].
     rhombus_ilp_ns: f64,
@@ -177,6 +186,25 @@ fn step_costs(attempt: &str) -> (f64, f64) {
         steps.sum()
     });
     (analysis, interpreter)
+}
+
+/// Nanoseconds of one repair of [`APPENDING_ATTEMPT`] against the default
+/// `derivatives` dataset's clusters, fastest of [`STEP_COST_REPS`].
+fn append_repair_ns() -> f64 {
+    let problem = derivatives();
+    let mut engine = Clara::new_in(problem.lang, problem.entry, problem.inputs(), ClaraConfig::default());
+    for solution in generate_dataset_for(&problem, DatasetConfig::default()).correct {
+        engine.add_correct_solution(&solution.source).expect("correct derivatives solutions analyse");
+    }
+    (0..STEP_COST_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            let outcome = engine.repair_source(APPENDING_ATTEMPT).expect("the appending attempt analyses");
+            let nanos = start.elapsed().as_nanos() as f64;
+            std::hint::black_box(outcome);
+            nanos
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// A sequential engine holding the default `rhombus` dataset's correct
@@ -298,6 +326,7 @@ fn main() {
 
     let (analysis_ns_per_step, interpreter_ns_per_step) = step_costs(DIVERGING_ATTEMPT);
     let (append_analysis_ns_per_step, append_grade_ns_per_step) = step_costs(APPENDING_ATTEMPT);
+    let append_repair_ns = append_repair_ns();
     let engine = rhombus_engine();
     let rhombus_ilp_ns = rhombus_ilp_ns(&engine);
     let (ted_pairs, ted_ns_per_distance) = rhombus_ted_ns(&engine);
@@ -315,6 +344,8 @@ fn main() {
         append_grade_ns_per_step,
         append_analysis_interpreter_ratio: append_analysis_ns_per_step / interpreter_ns_per_step,
         append_grade_interpreter_ratio: append_grade_ns_per_step / interpreter_ns_per_step,
+        append_repair_ns,
+        append_repair_interpreter_ratio: append_repair_ns / interpreter_ns_per_step,
         rhombus_ilp_ns,
         ilp_interpreter_ratio: rhombus_ilp_ns / interpreter_ns_per_step,
         ted_pairs,
@@ -344,6 +375,11 @@ fn main() {
         report.append_analysis_interpreter_ratio,
         report.append_grade_ns_per_step,
         report.append_grade_interpreter_ratio,
+    );
+    println!(
+        "One repair of the appending attempt: {:.2} ms ({:.0} interpreter steps)",
+        report.append_repair_ns / 1e6,
+        report.append_repair_interpreter_ratio,
     );
     println!(
         "ILP stage of the fixed rhombus repair: {:.2} ms ({:.0} interpreter steps)",

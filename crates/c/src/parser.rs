@@ -7,10 +7,16 @@
 //! [`Expr::Index`]. `/` maps to integer (floor) division unless a float
 //! literal appears in either operand — the C-typed division the intro
 //! assignments in this corpus actually use.
+//!
+//! Nesting is bounded by MiniPy's [`MAX_NESTING`]: an expression deeper
+//! than that, or a parenthesis, unary operator, conditional or block nested
+//! more often, is a parse error, so nothing that recurses over a parsed
+//! program can overflow the stack.
 
 use std::fmt;
 
 use clara_lang::ast::{Expr, Lit, Target};
+use clara_lang::parser::MAX_NESTING;
 use clara_lang::{BinOp, UnOp};
 
 use crate::ast::{CFunction, CParam, CProgram, CStmt, CType};
@@ -49,7 +55,7 @@ const KEYWORDS: &[&str] =
 /// Returns a [`ParseCError`] describing the first syntax error.
 pub fn parse_c_program(source: &str) -> Result<CProgram, ParseCError> {
     let toks = lex(source).map_err(|e| ParseCError::new(e.line, e.message))?;
-    let mut parser = Parser { toks, pos: 0 };
+    let mut parser = Parser { toks, pos: 0, nesting: 0 };
     let mut functions = Vec::new();
     while !parser.at_end() {
         functions.push(parser.function()?);
@@ -64,7 +70,7 @@ pub fn parse_c_program(source: &str) -> Result<CProgram, ParseCError> {
 /// Returns a [`ParseCError`] when the text is not exactly one expression.
 pub fn parse_c_expression(source: &str) -> Result<Expr, ParseCError> {
     let toks = lex(source).map_err(|e| ParseCError::new(e.line, e.message))?;
-    let mut parser = Parser { toks, pos: 0 };
+    let mut parser = Parser { toks, pos: 0, nesting: 0 };
     let expr = parser.expression()?;
     if !parser.at_end() {
         let line = parser.line();
@@ -76,9 +82,44 @@ pub fn parse_c_expression(source: &str) -> Result<Expr, ParseCError> {
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Parentheses, unary operators, conditionals and blocks open at the
+    /// current token.
+    nesting: usize,
 }
 
+/// An expression and its [`Expr::json_depth`].
+type Parsed = (Expr, usize);
+
 impl Parser {
+    fn too_deep(&self) -> ParseCError {
+        ParseCError::new(self.line(), format!("nested more than {MAX_NESTING} levels deep"))
+    }
+
+    /// Runs `parse` one nesting level further in.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseCError>,
+    ) -> Result<T, ParseCError> {
+        if self.nesting >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let result = parse(self);
+        self.nesting -= 1;
+        result
+    }
+
+    /// `expr` at `depth`, unless that is past [`MAX_NESTING`].
+    fn node(&self, expr: Expr, depth: usize) -> Result<Parsed, ParseCError> {
+        if depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok((expr, depth))
+    }
+
+    fn binary(&self, op: BinOp, (lhs, l): Parsed, (rhs, r): Parsed) -> Result<Parsed, ParseCError> {
+        self.node(Expr::bin(op, lhs, rhs), 1 + l.max(r))
+    }
     fn at_end(&self) -> bool {
         self.pos >= self.toks.len()
     }
@@ -212,6 +253,10 @@ impl Parser {
     }
 
     fn braced_block(&mut self) -> Result<Vec<CStmt>, ParseCError> {
+        self.nested(Self::braced_block_body)
+    }
+
+    fn braced_block_body(&mut self) -> Result<Vec<CStmt>, ParseCError> {
         self.expect_punct("{")?;
         let mut stmts = Vec::new();
         while !self.eat_punct("}") {
@@ -229,7 +274,7 @@ impl Parser {
             self.braced_block()
         } else {
             let mut stmts = Vec::new();
-            self.statement_into(&mut stmts)?;
+            self.nested(|parser| parser.statement_into(&mut stmts))?;
             Ok(stmts)
         }
     }
@@ -298,7 +343,7 @@ impl Parser {
             if self.peek_keyword("if") {
                 let nested_line = self.line();
                 self.pos += 1;
-                vec![self.if_statement(nested_line)?]
+                vec![self.nested(|parser| parser.if_statement(nested_line))?]
             } else {
                 self.block_or_stmt()?
             }
@@ -423,41 +468,48 @@ impl Parser {
 
     // ---- expressions ----------------------------------------------------
 
+    /// An expression on its own (a statement's, or a whole input's).
     fn expression(&mut self) -> Result<Expr, ParseCError> {
-        self.ternary()
+        Ok(self.expr()?.0)
     }
 
-    fn ternary(&mut self) -> Result<Expr, ParseCError> {
+    /// An expression one nesting level in.
+    fn expr(&mut self) -> Result<Parsed, ParseCError> {
+        self.nested(Self::ternary)
+    }
+
+    fn ternary(&mut self) -> Result<Parsed, ParseCError> {
         let cond = self.logic_or()?;
         if self.eat_punct("?") {
-            let then = self.expression()?;
+            let then = self.expr()?;
             self.expect_punct(":")?;
-            let otherwise = self.ternary()?;
-            Ok(Expr::ite(cond, then, otherwise))
+            let otherwise = self.nested(Self::ternary)?;
+            let depth = 2 + cond.1.max(then.1).max(otherwise.1);
+            self.node(Expr::ite(cond.0, then.0, otherwise.0), depth)
         } else {
             Ok(cond)
         }
     }
 
-    fn logic_or(&mut self) -> Result<Expr, ParseCError> {
+    fn logic_or(&mut self) -> Result<Parsed, ParseCError> {
         let mut lhs = self.logic_and()?;
         while self.eat_punct("||") {
             let rhs = self.logic_and()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn logic_and(&mut self) -> Result<Expr, ParseCError> {
+    fn logic_and(&mut self) -> Result<Parsed, ParseCError> {
         let mut lhs = self.equality()?;
         while self.eat_punct("&&") {
             let rhs = self.equality()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn equality(&mut self) -> Result<Expr, ParseCError> {
+    fn equality(&mut self) -> Result<Parsed, ParseCError> {
         let mut lhs = self.relational()?;
         loop {
             let op = match self.peek() {
@@ -467,12 +519,12 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.relational()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn relational(&mut self) -> Result<Expr, ParseCError> {
+    fn relational(&mut self) -> Result<Parsed, ParseCError> {
         let mut lhs = self.additive()?;
         loop {
             let op = match self.peek() {
@@ -484,12 +536,12 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.additive()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn additive(&mut self) -> Result<Expr, ParseCError> {
+    fn additive(&mut self) -> Result<Parsed, ParseCError> {
         let mut lhs = self.multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -499,12 +551,12 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.multiplicative()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn multiplicative(&mut self) -> Result<Expr, ParseCError> {
+    fn multiplicative(&mut self) -> Result<Parsed, ParseCError> {
         let mut lhs = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -520,72 +572,77 @@ impl Parser {
             // provisionally becomes FloorDiv unless a float literal appears;
             // `retype_divisions` revisits every division once the function's
             // declared float variables are known.
-            lhs = if op == BinOp::Div && !contains_float_literal(&lhs) && !contains_float_literal(&rhs) {
-                Expr::bin(BinOp::FloorDiv, lhs, rhs)
+            let op = if op == BinOp::Div && !contains_float_literal(&lhs.0) && !contains_float_literal(&rhs.0)
+            {
+                BinOp::FloorDiv
             } else {
-                Expr::bin(op, lhs, rhs)
+                op
             };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseCError> {
-        if self.eat_punct("!") {
-            return Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)));
-        }
-        if self.eat_punct("-") {
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)));
+    fn unary(&mut self) -> Result<Parsed, ParseCError> {
+        for (p, op) in [("!", UnOp::Not), ("-", UnOp::Neg)] {
+            if self.eat_punct(p) {
+                let (inner, depth) = self.nested(Self::unary)?;
+                return self.node(Expr::Unary(op, Box::new(inner)), 1 + depth);
+            }
         }
         self.postfix()
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseCError> {
-        let mut expr = self.primary()?;
+    fn postfix(&mut self) -> Result<Parsed, ParseCError> {
+        let (mut expr, mut depth) = self.primary()?;
         while self.eat_punct("[") {
-            let index = self.expression()?;
+            let (index, index_depth) = self.expr()?;
             self.expect_punct("]")?;
-            expr = Expr::Index(Box::new(expr), Box::new(index));
+            (expr, depth) =
+                self.node(Expr::Index(Box::new(expr), Box::new(index)), 1 + depth.max(index_depth))?;
         }
-        Ok(expr)
+        Ok((expr, depth))
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseCError> {
+    fn primary(&mut self) -> Result<Parsed, ParseCError> {
         let line = self.line();
         match self.peek().cloned() {
             Some(Tok::Int(v)) => {
                 self.pos += 1;
-                Ok(Expr::int(v))
+                Ok((Expr::int(v), 1))
             }
             Some(Tok::Float(v)) => {
                 self.pos += 1;
-                Ok(Expr::float(v))
+                Ok((Expr::float(v), 1))
             }
             Some(Tok::Str(text)) => {
                 self.pos += 1;
-                Ok(Expr::str(text))
+                Ok((Expr::str(text), 1))
             }
             Some(Tok::Punct("(")) => {
                 self.pos += 1;
-                let expr = self.expression()?;
+                let expr = self.expr()?;
                 self.expect_punct(")")?;
                 Ok(expr)
             }
             Some(Tok::Ident(name)) if !KEYWORDS.contains(&name.as_str()) => {
                 self.pos += 1;
                 if self.eat_punct("(") {
-                    let mut args = Vec::new();
+                    let (mut args, mut deepest) = (Vec::new(), 0);
                     if !self.eat_punct(")") {
                         loop {
-                            args.push(self.expression()?);
+                            let (arg, depth) = self.expr()?;
+                            args.push(arg);
+                            deepest = deepest.max(depth);
                             if !self.eat_punct(",") {
                                 break;
                             }
                         }
                         self.expect_punct(")")?;
                     }
-                    Ok(Expr::call(name, args))
+                    self.node(Expr::call(name, args), 2 + deepest)
                 } else {
-                    Ok(Expr::var(name))
+                    Ok((Expr::var(name), 1))
                 }
             }
             _ => Err(ParseCError::new(line, {
@@ -765,6 +822,54 @@ fn contains_float_literal(expr: &Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tracked_depth_is_the_json_depth() {
+        for source in [
+            "x",
+            "-x",
+            "!!x",
+            "a + b * c - d",
+            "a < b && c >= d || !e",
+            "f()",
+            "f(x, g(y), -z)",
+            "xs[i][j + 1]",
+            "c ? a : b",
+            "c ? (d ? 1 : 2) : e ? 3 : 4",
+            "x / 2.0",
+        ] {
+            let toks = lex(source).unwrap();
+            let mut parser = Parser { toks, pos: 0, nesting: 0 };
+            let (expr, depth) = parser.expr().unwrap();
+            assert_eq!(depth, expr.json_depth(), "{source}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_ceiling_is_a_parse_error() {
+        let decl = |expr: String| format!("int f(int x) {{\n    int y = {expr};\n    return y;\n}}\n");
+        for n in [MAX_NESTING + 1, 1_000, 100_000] {
+            let deep = [
+                decl(format!("{}1{}", "(".repeat(n), ")".repeat(n))),
+                decl(format!("{}x{}", "f(".repeat(n), ")".repeat(n))),
+                decl(format!("{}1", "- ".repeat(n))),
+                decl(format!("{}x", "!".repeat(n))),
+                decl(format!("x{}", " + 1".repeat(n))),
+                decl(format!("x{}", "[0]".repeat(n))),
+                decl(format!("{}0", "x ? 1 : ".repeat(n))),
+                format!("int f(int x) {{\n{}return x;{}\n}}\n", "if (x) {".repeat(n), "}".repeat(n)),
+                format!("int f(int x) {{\n{}return x;\n}}\n", "if (x) ".repeat(n)),
+                format!("int f(int x) {{\n{}return x;\n}}\n", "while (x) ".repeat(n)),
+            ];
+            for source in deep {
+                let err = parse_c_program(&source).unwrap_err();
+                assert!(err.message.contains("levels deep"), "{err}");
+            }
+        }
+        let within = MAX_NESTING - 10;
+        assert!(parse_c_program(&decl(format!("{}1{}", "(".repeat(within), ")".repeat(within)))).is_ok());
+        assert!(parse_c_program(&decl(format!("x{}", " + 1".repeat(within)))).is_ok());
+    }
 
     #[test]
     fn parses_a_fibonacci_function() {

@@ -76,7 +76,7 @@ pub use timing::{Span, Stage, StageSink, StageTimer};
 
 use clara_lang::Value;
 use clara_model::frontend::{Lang, ParsedSubmission};
-use clara_model::Fuel;
+use clara_model::{Fuel, TraceStatus};
 
 /// Configuration of the end-to-end [`Clara`] engine.
 #[derive(Debug, Clone, Default)]
@@ -100,6 +100,9 @@ pub struct Clara {
     clusters: Vec<Cluster>,
     index: CandidateIndex,
     correct_count: usize,
+    /// The most steps of any stored trace: an attempt's trace cut one step
+    /// past it is still longer than every stored trace on its input.
+    longest_trace: usize,
 }
 
 /// The result of repairing one attempt with the [`Clara`] engine.
@@ -137,6 +140,7 @@ impl Clara {
             clusters: Vec::new(),
             index: CandidateIndex::new(),
             correct_count: 0,
+            longest_trace: 0,
         }
     }
 
@@ -199,6 +203,7 @@ impl Clara {
         let surface = parsed.surface(&self.entry).ok();
         let signals = QuerySignals::for_program(&analyzed, surface.as_ref());
         self.correct_count += 1;
+        self.longest_trace = self.longest_trace.max(longest_trace(&analyzed));
         // Incremental clustering: try to place the solution into an existing
         // cluster, otherwise open a new one.
         let mut placed = None;
@@ -263,7 +268,11 @@ impl Clara {
         for (i, cluster) in clusters.iter().enumerate() {
             index.record(i, &QuerySignals::for_program(&cluster.representative, None));
         }
-        Clara { entry: entry.into(), lang, inputs, config, clusters, index, correct_count }
+        // A member matched its representative, and matching requires equal
+        // location sequences, so the representatives' traces are as long as
+        // any stored trace (a persisted index holds members' signals too).
+        let longest_trace = clusters.iter().map(|c| longest_trace(&c.representative)).max().unwrap_or(0);
+        Clara { entry: entry.into(), lang, inputs, config, clusters, index, correct_count, longest_trace }
     }
 
     /// The candidate retrieval index over the current clusters.
@@ -309,12 +318,20 @@ impl Clara {
     /// Repairs an already-parsed incorrect attempt and renders feedback. The
     /// analysis and the surface IR both come from this one parse.
     ///
+    /// The attempt is analysed only as far as the pool can match it: each
+    /// trace stops one step past [`Clara::longest_trace`] (see
+    /// [`Clara::attempt_fuel`]). Repair evaluates the attempt's expressions
+    /// on the representatives' traces; the attempt's own traces feed only the
+    /// retrieval query, where a trace longer than every stored one overlaps
+    /// no stored signal however long it runs, and the alignment fallback,
+    /// which re-analyses at full fuel. The outcome is the one a full-fuel
+    /// analysis gets.
+    ///
     /// # Errors
     ///
     /// Returns an [`AnalysisError`] if the attempt cannot be lowered.
     pub fn repair_parsed(&self, parsed: &dyn ParsedSubmission) -> Result<RepairOutcome, AnalysisError> {
-        let attempt =
-            AnalyzedProgram::from_parsed(parsed, &self.entry, &self.inputs, self.config.repair.fuel)?;
+        let attempt = AnalyzedProgram::from_parsed(parsed, &self.entry, &self.inputs, self.attempt_fuel())?;
         // The surface IR feeds both the structural retrieval signal and the
         // flexible-alignment fallback, so it is built whenever either is on.
         let wants_surface = (self.config.repair.use_candidate_index && !self.index.is_empty())
@@ -324,7 +341,9 @@ impl Clara {
     }
 
     /// Repairs an analysed attempt, using its surface IR (when available)
-    /// for the structural half of the candidate pre-search.
+    /// for the structural half of the candidate pre-search. The attempt may
+    /// be analysed at [`Clara::fuel`] or at [`Clara::attempt_fuel`]; the
+    /// outcome is the same.
     pub fn repair_with_surface(
         &self,
         attempt: &AnalyzedProgram,
@@ -354,6 +373,15 @@ impl Clara {
             && self.config.repair.flexible_alignment
         {
             if let Some(surface) = surface {
+                // Alignment compares the attempt's own traces with each
+                // normalized candidate's, so it needs them at full fuel.
+                let full;
+                let attempt = if self.cut_short(attempt) {
+                    full = AnalyzedProgram::from_program(attempt.program.clone(), &self.inputs, self.fuel());
+                    &full
+                } else {
+                    attempt
+                };
                 if let Some((aligned, program)) = align::realign_attempt(
                     &self.clusters,
                     attempt,
@@ -381,10 +409,44 @@ impl Clara {
         &self.inputs
     }
 
-    /// The execution fuel used for analysis.
+    /// The execution fuel of every full analysis: learned solutions, the
+    /// verification of a repaired program, the alignment fallback's
+    /// candidates. [`Clara::repair_parsed`] analyses an incorrect attempt at
+    /// [`Clara::attempt_fuel`] instead.
     pub fn fuel(&self) -> Fuel {
         self.config.repair.fuel
     }
+
+    /// The most steps of any trace of a stored solution on any input; 0 for
+    /// an empty pool. Learns can only raise it.
+    pub fn longest_trace(&self) -> usize {
+        self.longest_trace
+    }
+
+    /// The fuel an incorrect attempt is analysed at: [`Clara::fuel`] with
+    /// its steps capped one past [`Clara::longest_trace`], or full fuel for
+    /// an empty pool.
+    pub fn attempt_fuel(&self) -> Fuel {
+        let fuel = self.fuel();
+        if self.clusters.is_empty() {
+            return fuel;
+        }
+        Fuel { max_steps: fuel.max_steps.min(self.longest_trace.saturating_add(1)), ..fuel }
+    }
+
+    /// `true` when some trace of `attempt` stopped at the
+    /// [`Clara::attempt_fuel`] cap below full fuel, so a full-fuel analysis
+    /// could see more of it.
+    fn cut_short(&self, attempt: &AnalyzedProgram) -> bool {
+        let cap = self.attempt_fuel().max_steps;
+        cap < self.fuel().max_steps
+            && attempt.traces.iter().any(|t| t.status == TraceStatus::OutOfFuel && t.steps.len() == cap)
+    }
+}
+
+/// The most steps of any of `analyzed`'s traces.
+fn longest_trace(analyzed: &AnalyzedProgram) -> usize {
+    analyzed.traces.iter().map(|t| t.steps.len()).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -557,6 +619,38 @@ def computeDeriv(poly):
         let repair = outcome.result.best.expect("empty attempts are repaired by rewrite");
         assert!(repair.total_cost > 5);
         assert!(repair.relative_size(0).is_infinite());
+    }
+
+    #[test]
+    fn alignment_sees_a_cut_attempt_at_full_fuel() {
+        let inputs = vec![vec![Value::Int(0)], vec![Value::Int(3)], vec![Value::Int(5)]];
+        let mut clara = Clara::new("f", inputs, ClaraConfig::default());
+        clara
+            .add_correct_solution(
+                "def f(n):\n    s = 0\n    i = 0\n    while i < n:\n        s = s + i\n        i = i + 1\n    return s\n",
+            )
+            .unwrap();
+        // Two loops match no single-loop cluster; dropping the dead second
+        // loop aligns the attempt. Its first loop runs 20 times longer than
+        // the solution's, so the bounded analysis cuts it, while the
+        // normalized candidate completes: only the full-fuel traces agree.
+        let attempt = "def f(n):\n    s = 0\n    i = 0\n    while i < n * 20:\n        s = s + i\n        i = i + 1\n    while i < n:\n        s = s + i\n        i = i + 1\n    return s + 1\n";
+        let parsed = frontend(Lang::MiniPy).parse(attempt).unwrap();
+        let bounded =
+            AnalyzedProgram::from_parsed(parsed.as_ref(), "f", clara.inputs(), clara.attempt_fuel()).unwrap();
+        assert!(clara.attempt_fuel().max_steps < clara.fuel().max_steps);
+        assert!(bounded.traces.iter().any(|t| t.status == TraceStatus::OutOfFuel), "the bound must cut it");
+        let full = AnalyzedProgram::from_parsed(parsed.as_ref(), "f", clara.inputs(), clara.fuel()).unwrap();
+        assert!(full.traces.iter().all(|t| t.status == TraceStatus::Completed));
+
+        let outcome = clara.repair_parsed(parsed.as_ref()).unwrap();
+        assert!(outcome.result.realigned, "alignment must compare full-fuel traces");
+        let repair = outcome.result.best.expect("the aligned attempt is repairable");
+        assert_eq!(repair.verified, Some(true));
+        let surface = parsed.surface("f").ok();
+        let from_full = clara.repair_with_surface(&full, surface.as_ref());
+        assert_eq!(from_full.result.best.map(|r| r.total_cost), Some(repair.total_cost));
+        assert_eq!(from_full.feedback, outcome.feedback);
     }
 
     #[test]

@@ -5,13 +5,32 @@
 //! *correct* when it produces the expected return value / output on every
 //! test input. It is also used for differential testing of the program-model
 //! executor in `clara-model`.
+//!
+//! Besides its step budget, a run is bounded in the work one step can do:
+//! no variable, argument or return value may exceed
+//! [`MAX_VALUE_UNITS`], so a value that doubles through sharing (`x = [x,
+//! x]`) stops the run before `str`, `print` or `==` has to walk 2^40 paths,
+//! and calls nest at most [`MAX_CALL_DEPTH`] deep and hold at most
+//! [`MAX_CALL_LEVELS`] levels of blocks and expressions between them, so
+//! recursion through deeply nested expressions cannot overflow the stack.
 
 use std::collections::HashMap;
 
 use crate::ast::{Expr, Function, SourceProgram, Stmt, Target};
 use crate::error::{EvalError, EvalErrorKind, InterpError};
 use crate::eval::{apply_binop, eval_expr, Env};
-use crate::value::{ops, Value};
+use crate::value::{ops, Value, MAX_VALUE_UNITS};
+
+/// How deep user-defined function calls may nest before the run stops
+/// with a recursion error, like Python's `RecursionError`.
+pub const MAX_CALL_DEPTH: usize = 50;
+
+/// The most levels the active calls may hold between them, each counting
+/// its function's [`frame_levels`]. Evaluating an expression recurses once
+/// per level, so this bounds the stack of a recursion through deep
+/// expressions (a function returning `-(-(…f(n - 1)…))` 190 levels deep
+/// may recurse 10 times, not 50).
+pub const MAX_CALL_LEVELS: usize = 2_000;
 
 /// The observable outcome of running a program on one input.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,8 +63,9 @@ impl Default for Limits {
 /// # Errors
 ///
 /// Returns an [`InterpError`] when the entry function is missing, the arity
-/// does not match, evaluation of an expression fails, or the step limit is
-/// exceeded.
+/// does not match, evaluation of an expression fails, calls nest past
+/// [`MAX_CALL_DEPTH`] or [`MAX_CALL_LEVELS`], or the step limit or the
+/// value-size ceiling ([`InterpError::OutOfFuel`]) is exceeded.
 pub fn run_function(
     program: &SourceProgram,
     entry: &str,
@@ -58,7 +78,13 @@ pub fn run_function(
     }
     let interp = Interp {
         program,
-        state: std::cell::RefCell::new(RunState { output: String::new(), steps: 0 }),
+        state: std::cell::RefCell::new(RunState {
+            output: String::new(),
+            steps: 0,
+            calls: 0,
+            levels: 0,
+            frame_levels: HashMap::new(),
+        }),
         limits,
     };
     let mut env: HashMap<String, Value> = HashMap::new();
@@ -83,14 +109,59 @@ enum Flow {
     Return(Value),
 }
 
-struct RunState {
+struct RunState<'p> {
     output: String,
     steps: u64,
+    /// User-defined calls currently active.
+    calls: usize,
+    /// The [`frame_levels`] of the active calls, summed.
+    levels: usize,
+    /// [`frame_levels`] of each function called so far.
+    frame_levels: HashMap<&'p str, usize>,
+}
+
+/// The deepest a statement of `stmts` nests: a level per enclosing block
+/// plus its deepest expression's [`Expr::json_depth`].
+fn frame_levels(stmts: &[Stmt]) -> usize {
+    let deepest = |exprs: &mut dyn Iterator<Item = &Expr>| exprs.map(Expr::json_depth).max().unwrap_or(0);
+    stmts
+        .iter()
+        .map(|stmt| match stmt {
+            Stmt::Assign { target, value, .. } => {
+                let index = match target {
+                    Target::Index(_, index) => Some(index),
+                    Target::Name(_) => None,
+                };
+                deepest(&mut index.into_iter().chain([value]))
+            }
+            Stmt::If { cond, then_body, else_body, .. } => {
+                cond.json_depth().max(1 + frame_levels(then_body).max(frame_levels(else_body)))
+            }
+            Stmt::While { cond: head, body, .. } | Stmt::For { iter: head, body, .. } => {
+                head.json_depth().max(1 + frame_levels(body))
+            }
+            Stmt::Return { value, .. } => deepest(&mut value.iter()),
+            Stmt::Print { args, .. } => deepest(&mut args.iter()),
+            Stmt::ExprStmt { expr, .. } => expr.json_depth(),
+            Stmt::Pass { .. } | Stmt::Break { .. } | Stmt::Continue { .. } => 0,
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// `value`, or [`InterpError::OutOfFuel`] when it exceeds
+/// [`MAX_VALUE_UNITS`].
+fn bounded(value: Value) -> Result<Value, InterpError> {
+    if value.exceeds_units(MAX_VALUE_UNITS) {
+        Err(InterpError::OutOfFuel)
+    } else {
+        Ok(value)
+    }
 }
 
 struct Interp<'p> {
     program: &'p SourceProgram,
-    state: std::cell::RefCell<RunState>,
+    state: std::cell::RefCell<RunState<'p>>,
     limits: Limits,
 }
 
@@ -133,17 +204,33 @@ impl<'p> Interp<'p> {
         eval_expr(expr, &wrapper).map_err(InterpError::from)
     }
 
-    fn call_user_function(&self, callee: &Function, args: &[Value]) -> Result<Value, InterpError> {
+    fn call_user_function(&self, callee: &'p Function, args: &[Value]) -> Result<Value, InterpError> {
         if callee.params.len() != args.len() {
             return Err(InterpError::ArityMismatch { expected: callee.params.len(), actual: args.len() });
         }
         self.tick()?;
         let mut env: HashMap<String, Value> = HashMap::new();
         for (param, value) in callee.params.iter().zip(args) {
-            env.insert(param.clone(), value.clone());
+            env.insert(param.clone(), bounded(value.clone())?);
         }
-        let flow = self.run_block(&callee.body, &mut env)?;
-        Ok(match flow {
+        let levels = {
+            let mut state = self.state.borrow_mut();
+            let levels =
+                1 + *state.frame_levels.entry(&callee.name).or_insert_with(|| frame_levels(&callee.body));
+            if state.calls >= MAX_CALL_DEPTH || state.levels + levels > MAX_CALL_LEVELS {
+                return Err(InterpError::Eval(EvalError::other("maximum recursion depth exceeded")));
+            }
+            state.calls += 1;
+            state.levels += levels;
+            levels
+        };
+        let flow = self.run_block(&callee.body, &mut env);
+        {
+            let mut state = self.state.borrow_mut();
+            state.calls -= 1;
+            state.levels -= levels;
+        }
+        Ok(match flow? {
             Flow::Return(value) => value,
             _ => Value::None,
         })
@@ -177,7 +264,7 @@ impl<'p> Interp<'p> {
                             }
                             None => rhs,
                         };
-                        env.insert(name.clone(), new_value);
+                        env.insert(name.clone(), bounded(new_value)?);
                     }
                     Target::Index(name, index) => {
                         let index_value = self.eval(index, env)?;
@@ -192,7 +279,7 @@ impl<'p> Interp<'p> {
                             None => rhs,
                         };
                         let updated = ops::store(&current, &index_value, &stored)?;
-                        env.insert(name.clone(), updated);
+                        env.insert(name.clone(), bounded(updated)?);
                     }
                 }
                 Ok(Flow::Normal)
@@ -246,7 +333,7 @@ impl<'p> Interp<'p> {
             }
             Stmt::Return { value, .. } => {
                 let result = match value {
-                    Some(expr) => self.eval(expr, env)?,
+                    Some(expr) => bounded(self.eval(expr, env)?)?,
                     None => Value::None,
                 };
                 Ok(Flow::Return(result))
@@ -289,7 +376,7 @@ impl<'p> Interp<'p> {
                                     }
                                 }
                             };
-                            env.insert(var_name.clone(), result);
+                            env.insert(var_name.clone(), bounded(result)?);
                             return Ok(Flow::Normal);
                         }
                     }
@@ -440,6 +527,57 @@ def f(n):
         let prog = parse_program(src).unwrap();
         let out = run_function(&prog, "f", &[Value::Int(0)], Limits { max_steps: 1000 });
         assert_eq!(out.unwrap_err(), InterpError::OutOfFuel);
+    }
+
+    #[test]
+    fn values_doubling_through_sharing_stop_at_the_size_ceiling() {
+        // 40 doublings make 2^40 units from 40 allocations; `str` would walk
+        // every path. The run must stop at the ceiling instead, in time.
+        let start = std::time::Instant::now();
+        let doubling = "def f(n):\n    x = [1]\n    i = 0\n    while i < n:\n        x = [x, x]\n        i += 1\n    s = str(x)\n    return n\n";
+        let recursive = "def g(x, n):\n    if n == 0:\n        return str(x)\n    return g([x, x], n - 1)\n\ndef f(n):\n    return g([1], n)\n";
+        let appending = "def f(n):\n    x = [1]\n    i = 0\n    while i < n:\n        x.append(x)\n        i += 1\n    return str(x)\n";
+        for src in [doubling, recursive, appending] {
+            let prog = parse_program(src).unwrap();
+            let shallow = run_function(&prog, "f", &[Value::Int(4)], Limits { max_steps: 10_000 });
+            assert!(shallow.is_ok(), "{src}: {shallow:?}");
+            let deep = run_function(&prog, "f", &[Value::Int(40)], Limits { max_steps: 10_000 });
+            assert!(deep.is_err(), "{src}");
+        }
+        assert!(start.elapsed().as_secs() < 5, "took {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn unbounded_recursion_stops_at_the_call_depth() {
+        let prog = parse_program("def f(n):\n    return f(n + 1)\n").unwrap();
+        let err = run_function(&prog, "f", &[Value::Int(0)], Limits { max_steps: 1_000_000 }).unwrap_err();
+        assert!(err.to_string().contains("recursion depth"), "{err}");
+        let counting = "def down(n):\n    if n == 0:\n        return 0\n    return 1 + down(n - 1)\n\ndef f(n):\n    return down(n)\n";
+        let depth = MAX_CALL_DEPTH as i64 - 2;
+        assert_eq!(run(counting, "f", &[Value::Int(depth)]).return_value, Value::Int(depth));
+        let prog = parse_program(counting).unwrap();
+        assert!(run_function(&prog, "f", &[Value::Int(depth + 10)], Limits::default()).is_err());
+
+        // Recursion through expressions near the parser's nesting ceiling
+        // stops at the level budget, well inside a 2 MiB thread stack.
+        let negations = crate::parser::MAX_NESTING - 10;
+        let deep = format!(
+            "def down(n):\n    if n == 0:\n        return 0\n    return {}down(n - 1)\n\ndef f(n):\n    return down(n)\n",
+            "-".repeat(negations)
+        );
+        let prog = parse_program(&deep).unwrap();
+        let runs = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let ok = run_function(&prog, "f", &[Value::Int(3)], Limits::default());
+                let too_deep = run_function(&prog, "f", &[Value::Int(40)], Limits::default());
+                (ok.map(|e| e.return_value), too_deep.map_err(|e| e.to_string()))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(runs.0, Ok(Value::Int(0)));
+        assert!(runs.1.unwrap_err().contains("recursion depth"));
     }
 
     #[test]

@@ -6,11 +6,28 @@
 //! `return`, `print`, `pass`, `break`, `continue`, and the usual expression
 //! syntax (arithmetic, comparisons, boolean operators, calls, method calls,
 //! indexing, slicing, list and tuple displays).
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: an expression deeper than that, or
+//! a bracket, unary operator or block nested more often, is a parse error.
+//! Everything that later recurses over the tree (lowering, the
+//! interpreter, printing) therefore recurses a bounded number of levels,
+//! and no input can overflow the stack of the thread that handles it.
 
 use crate::ast::{BinOp, Expr, Function, Lit, SourceProgram, Stmt, Target, UnOp};
 use crate::error::ParseError;
 use crate::lexer::tokenize;
 use crate::token::{Token, TokenKind};
+
+/// The deepest a program may nest, in each of three measures: the
+/// [`Expr::json_depth`] of any expression, the brackets and unary operators
+/// an expression sits inside, and the blocks a statement sits inside. Well
+/// above anything a student writes by hand, and shallow enough that a
+/// worker thread's stack holds every recursion over a program at this
+/// depth. MiniC shares it.
+pub const MAX_NESTING: usize = 200;
+
+/// An expression and its [`Expr::json_depth`].
+type Parsed = (Expr, usize);
 
 /// Parses a full MiniPy source file into a [`SourceProgram`].
 ///
@@ -46,11 +63,56 @@ pub fn parse_expression(source: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Brackets, unary operators and blocks open at the current token.
+    nesting: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser { tokens, pos: 0, nesting: 0 }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        ParseError::new(self.peek_line(), format!("nested more than {MAX_NESTING} levels deep"))
+    }
+
+    /// Runs `parse` one nesting level further in.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T, ParseError>) -> Result<T, ParseError> {
+        if self.nesting >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let result = parse(self);
+        self.nesting -= 1;
+        result
+    }
+
+    /// `expr` at `depth`, unless that is past [`MAX_NESTING`].
+    fn node(&self, expr: Expr, depth: usize) -> Result<Parsed, ParseError> {
+        if depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok((expr, depth))
+    }
+
+    fn binary(&self, op: BinOp, (lhs, l): Parsed, (rhs, r): Parsed) -> Result<Parsed, ParseError> {
+        self.node(Expr::bin(op, lhs, rhs), 1 + l.max(r))
+    }
+
+    /// A comma-separated list of expressions up to (not including) a token
+    /// `end`, with the depth of its deepest item. A trailing comma is
+    /// allowed.
+    fn items(&mut self, end: &TokenKind) -> Result<(Vec<Expr>, usize), ParseError> {
+        let (mut items, mut deepest) = (Vec::new(), 0);
+        while !self.check(end) {
+            let (item, depth) = self.expr()?;
+            items.push(item);
+            deepest = deepest.max(depth);
+            if !self.eat(&TokenKind::Comma) {
+                break;
+            }
+        }
+        Ok((items, deepest))
     }
 
     fn peek(&self) -> &TokenKind {
@@ -171,6 +233,10 @@ impl Parser {
     /// Parses an indented block: `NEWLINE INDENT stmt+ DEDENT`, or a single
     /// inline statement on the same line (`if x: return 1`).
     fn parse_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        self.nested(Self::parse_block_body)
+    }
+
+    fn parse_block_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
         if !self.check(&TokenKind::Newline) {
             // Inline (suite on the same line).
             let stmt = self.parse_simple_statement()?;
@@ -222,7 +288,8 @@ impl Parser {
         let then_body = self.parse_block()?;
         self.skip_newlines();
         let else_body = if self.check(&TokenKind::Elif) {
-            vec![self.parse_if()?]
+            // An `elif` nests into the `else` block.
+            vec![self.nested(Self::parse_if)?]
         } else if self.eat(&TokenKind::Else) {
             self.expect(&TokenKind::Colon)?;
             self.parse_block()?
@@ -339,11 +406,11 @@ impl Parser {
     /// Parses a comma-separated expression list; more than one element forms
     /// a tuple (as in `return a, b`).
     fn parse_expr_list(&mut self) -> Result<Expr, ParseError> {
-        let first = self.parse_expr()?;
+        let (first, depth) = self.expr()?;
         if !self.check(&TokenKind::Comma) {
             return Ok(first);
         }
-        let mut items = vec![first];
+        let (mut items, mut deepest) = (vec![first], depth);
         while self.eat(&TokenKind::Comma) {
             if self.check(&TokenKind::Newline)
                 || self.check(&TokenKind::Eof)
@@ -352,89 +419,83 @@ impl Parser {
             {
                 break;
             }
-            items.push(self.parse_expr()?);
+            let (item, depth) = self.expr()?;
+            items.push(item);
+            deepest = deepest.max(depth);
         }
-        Ok(Expr::Tuple(items))
+        Ok(self.node(Expr::Tuple(items), 2 + deepest)?.0)
     }
 
-    /// `expr := or_expr`
+    /// An expression on its own (a statement's, or a whole input's).
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
+        Ok(self.expr()?.0)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
+    /// `expr := or_expr`, one nesting level in.
+    fn expr(&mut self) -> Result<Parsed, ParseError> {
+        self.nested(Self::parse_or)
+    }
+
+    fn parse_or(&mut self) -> Result<Parsed, ParseError> {
         let mut lhs = self.parse_and()?;
         while self.eat(&TokenKind::Or) {
             let rhs = self.parse_and()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
+    fn parse_and(&mut self) -> Result<Parsed, ParseError> {
         let mut lhs = self.parse_not()?;
         while self.eat(&TokenKind::And) {
             let rhs = self.parse_not()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_not(&mut self) -> Result<Expr, ParseError> {
+    fn parse_not(&mut self) -> Result<Parsed, ParseError> {
         if self.eat(&TokenKind::Not) {
-            let inner = self.parse_not()?;
-            Ok(Expr::Unary(UnOp::Not, Box::new(inner)))
+            let (inner, depth) = self.nested(Self::parse_not)?;
+            self.node(Expr::Unary(UnOp::Not, Box::new(inner)), 1 + depth)
         } else {
             self.parse_comparison()
         }
     }
 
-    fn parse_comparison(&mut self) -> Result<Expr, ParseError> {
+    fn comparison_op(&self) -> Option<BinOp> {
+        Some(match self.peek() {
+            TokenKind::EqEq => BinOp::Eq,
+            TokenKind::NotEq => BinOp::Ne,
+            TokenKind::Lt => BinOp::Lt,
+            TokenKind::Le => BinOp::Le,
+            TokenKind::Gt => BinOp::Gt,
+            TokenKind::Ge => BinOp::Ge,
+            _ => return None,
+        })
+    }
+
+    fn parse_comparison(&mut self) -> Result<Parsed, ParseError> {
         let mut lhs = self.parse_additive()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
+        while let Some(op) = self.comparison_op() {
             self.bump();
             let rhs = self.parse_additive()?;
             // Chained comparisons (`a <= b < c`) are desugared to an `and`
             // of binary comparisons, as in Python.
-            if matches!(
-                self.peek(),
-                TokenKind::EqEq
-                    | TokenKind::NotEq
-                    | TokenKind::Lt
-                    | TokenKind::Le
-                    | TokenKind::Gt
-                    | TokenKind::Ge
-            ) {
-                let next_op = match self.peek() {
-                    TokenKind::EqEq => BinOp::Eq,
-                    TokenKind::NotEq => BinOp::Ne,
-                    TokenKind::Lt => BinOp::Lt,
-                    TokenKind::Le => BinOp::Le,
-                    TokenKind::Gt => BinOp::Gt,
-                    _ => BinOp::Ge,
-                };
+            if let Some(next_op) = self.comparison_op() {
                 self.bump();
                 let third = self.parse_additive()?;
-                let first = Expr::bin(op, lhs, rhs.clone());
-                let second = Expr::bin(next_op, rhs, third);
-                lhs = Expr::bin(BinOp::And, first, second);
+                let first = self.binary(op, lhs, rhs.clone())?;
+                let second = self.binary(next_op, rhs, third)?;
+                lhs = self.binary(BinOp::And, first, second)?;
             } else {
-                lhs = Expr::bin(op, lhs, rhs);
+                lhs = self.binary(op, lhs, rhs)?;
             }
         }
         Ok(lhs)
     }
 
-    fn parse_additive(&mut self) -> Result<Expr, ParseError> {
+    fn parse_additive(&mut self) -> Result<Parsed, ParseError> {
         let mut lhs = self.parse_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -444,12 +505,12 @@ impl Parser {
             };
             self.bump();
             let rhs = self.parse_multiplicative()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
+    fn parse_multiplicative(&mut self) -> Result<Parsed, ParseError> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -461,76 +522,82 @@ impl Parser {
             };
             self.bump();
             let rhs = self.parse_unary()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_unary(&mut self) -> Result<Parsed, ParseError> {
         if self.eat(&TokenKind::Minus) {
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(inner)));
+            let (inner, depth) = self.nested(Self::parse_unary)?;
+            return self.node(Expr::Unary(UnOp::Neg, Box::new(inner)), 1 + depth);
         }
         if self.eat(&TokenKind::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_power()
     }
 
-    fn parse_power(&mut self) -> Result<Expr, ParseError> {
+    fn parse_power(&mut self) -> Result<Parsed, ParseError> {
         let base = self.parse_postfix()?;
         if self.eat(&TokenKind::DoubleStar) {
             // Right-associative.
-            let exponent = self.parse_unary()?;
-            Ok(Expr::bin(BinOp::Pow, base, exponent))
+            let exponent = self.nested(Self::parse_unary)?;
+            self.binary(BinOp::Pow, base, exponent)
         } else {
             Ok(base)
         }
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.parse_atom()?;
+    /// An optional slice bound, ending at `:` or `]`.
+    fn slice_bound(&mut self) -> Result<Option<Parsed>, ParseError> {
+        if self.check(&TokenKind::RBracket) {
+            Ok(None)
+        } else {
+            self.expr().map(Some)
+        }
+    }
+
+    fn parse_postfix(&mut self) -> Result<Parsed, ParseError> {
+        let (mut expr, mut depth) = self.parse_atom()?;
         loop {
-            match self.peek() {
+            (expr, depth) = match self.peek() {
                 TokenKind::LParen => {
                     self.bump();
-                    let args = self.parse_call_args()?;
-                    expr = match expr {
-                        Expr::Var(name) => Expr::Call(name, args),
-                        Expr::Method(recv, name, _empty) => Expr::Method(recv, name, args),
+                    let (args, deepest) = self.items(&TokenKind::RParen)?;
+                    self.expect(&TokenKind::RParen)?;
+                    match expr {
+                        Expr::Var(name) => self.node(Expr::Call(name, args), 2 + deepest)?,
+                        // The bare method's depth already counts its receiver.
+                        Expr::Method(recv, name, _empty) => {
+                            self.node(Expr::Method(recv, name, args), depth.max(2 + deepest))?
+                        }
                         other => {
                             return Err(ParseError::new(
                                 self.peek_line(),
                                 format!("cannot call expression {other:?}"),
                             ))
                         }
-                    };
+                    }
                 }
                 TokenKind::LBracket => {
                     self.bump();
                     // Either an index or a slice.
+                    let lo = if self.check(&TokenKind::Colon) { None } else { Some(self.expr()?) };
                     if self.eat(&TokenKind::Colon) {
-                        let hi = if self.check(&TokenKind::RBracket) {
-                            None
-                        } else {
-                            Some(Box::new(self.parse_expr()?))
-                        };
+                        let hi = self.slice_bound()?;
                         self.expect(&TokenKind::RBracket)?;
-                        expr = Expr::Slice(Box::new(expr), None, hi);
+                        let bounds = [&lo, &hi].iter().filter_map(|b| b.as_ref().map(|(_, d)| *d)).max();
+                        let sliced = Expr::Slice(
+                            Box::new(expr),
+                            lo.map(|(e, _)| Box::new(e)),
+                            hi.map(|(e, _)| Box::new(e)),
+                        );
+                        self.node(sliced, 1 + depth.max(bounds.unwrap_or(0)))?
                     } else {
-                        let first = self.parse_expr()?;
-                        if self.eat(&TokenKind::Colon) {
-                            let hi = if self.check(&TokenKind::RBracket) {
-                                None
-                            } else {
-                                Some(Box::new(self.parse_expr()?))
-                            };
-                            self.expect(&TokenKind::RBracket)?;
-                            expr = Expr::Slice(Box::new(expr), Some(Box::new(first)), hi);
-                        } else {
-                            self.expect(&TokenKind::RBracket)?;
-                            expr = Expr::Index(Box::new(expr), Box::new(first));
-                        }
+                        self.expect(&TokenKind::RBracket)?;
+                        let (index, index_depth) = lo.expect("an index unless a slice");
+                        self.node(Expr::Index(Box::new(expr), Box::new(index)), 1 + depth.max(index_depth))?
                     }
                 }
                 TokenKind::Dot => {
@@ -539,81 +606,49 @@ impl Parser {
                     // A bare attribute access becomes a zero-argument method
                     // reference; the following `(` (if any) supplies the
                     // arguments.
-                    expr = Expr::Method(Box::new(expr), name, Vec::new());
+                    self.node(Expr::Method(Box::new(expr), name, Vec::new()), 1 + depth.max(1))?
                 }
                 _ => break,
-            }
+            };
         }
-        Ok(expr)
+        Ok((expr, depth))
     }
 
-    fn parse_call_args(&mut self) -> Result<Vec<Expr>, ParseError> {
-        let mut args = Vec::new();
-        if !self.check(&TokenKind::RParen) {
-            loop {
-                args.push(self.parse_expr()?);
-                if !self.eat(&TokenKind::Comma) {
-                    break;
-                }
-                if self.check(&TokenKind::RParen) {
-                    break;
-                }
-            }
-        }
-        self.expect(&TokenKind::RParen)?;
-        Ok(args)
-    }
-
-    fn parse_atom(&mut self) -> Result<Expr, ParseError> {
+    fn parse_atom(&mut self) -> Result<Parsed, ParseError> {
         let line = self.peek_line();
-        match self.bump() {
-            TokenKind::Int(v) => Ok(Expr::Lit(Lit::Int(v))),
-            TokenKind::Float(v) => Ok(Expr::Lit(Lit::Float(v))),
-            TokenKind::Str(v) => Ok(Expr::Lit(Lit::Str(v))),
-            TokenKind::True => Ok(Expr::Lit(Lit::Bool(true))),
-            TokenKind::False => Ok(Expr::Lit(Lit::Bool(false))),
-            TokenKind::None => Ok(Expr::Lit(Lit::None)),
-            TokenKind::Name(name) => Ok(Expr::Var(name)),
-            TokenKind::Print => Ok(Expr::Var("print".to_owned())),
+        let leaf = match self.bump() {
+            TokenKind::Int(v) => Expr::Lit(Lit::Int(v)),
+            TokenKind::Float(v) => Expr::Lit(Lit::Float(v)),
+            TokenKind::Str(v) => Expr::Lit(Lit::Str(v)),
+            TokenKind::True => Expr::Lit(Lit::Bool(true)),
+            TokenKind::False => Expr::Lit(Lit::Bool(false)),
+            TokenKind::None => Expr::Lit(Lit::None),
+            TokenKind::Name(name) => Expr::Var(name),
+            TokenKind::Print => Expr::Var("print".to_owned()),
             TokenKind::LParen => {
                 if self.eat(&TokenKind::RParen) {
-                    return Ok(Expr::Tuple(Vec::new()));
+                    return Ok((Expr::Tuple(Vec::new()), 2));
                 }
-                let first = self.parse_expr()?;
-                if self.check(&TokenKind::Comma) {
-                    let mut items = vec![first];
-                    while self.eat(&TokenKind::Comma) {
-                        if self.check(&TokenKind::RParen) {
-                            break;
-                        }
-                        items.push(self.parse_expr()?);
-                    }
+                let first = self.expr()?;
+                if !self.check(&TokenKind::Comma) {
                     self.expect(&TokenKind::RParen)?;
-                    Ok(Expr::Tuple(items))
-                } else {
-                    self.expect(&TokenKind::RParen)?;
-                    Ok(first)
+                    return Ok(first);
                 }
+                self.bump();
+                let (mut items, deepest) = self.items(&TokenKind::RParen)?;
+                self.expect(&TokenKind::RParen)?;
+                items.insert(0, first.0);
+                return self.node(Expr::Tuple(items), 2 + deepest.max(first.1));
             }
             TokenKind::LBracket => {
-                let mut items = Vec::new();
-                if !self.check(&TokenKind::RBracket) {
-                    loop {
-                        items.push(self.parse_expr()?);
-                        if !self.eat(&TokenKind::Comma) {
-                            break;
-                        }
-                        if self.check(&TokenKind::RBracket) {
-                            break;
-                        }
-                    }
-                }
+                let (items, deepest) = self.items(&TokenKind::RBracket)?;
                 self.expect(&TokenKind::RBracket)?;
-                Ok(Expr::List(items))
+                return self.node(Expr::List(items), 2 + deepest);
             }
-            TokenKind::Lambda => Err(ParseError::new(line, "unsupported construct `lambda`")),
-            other => Err(ParseError::new(line, format!("unexpected token {other}"))),
-        }
+            TokenKind::Lambda => return Err(ParseError::new(line, "unsupported construct `lambda`")),
+            other => return Err(ParseError::new(line, format!("unexpected token {other}"))),
+        };
+        Ok((leaf, 1))
     }
 }
 
@@ -797,6 +832,80 @@ def f(x):
     fn inline_suites() {
         let prog = parse_program("def f(x):\n    if x: return 1\n    return 0\n").unwrap();
         assert_eq!(prog.functions[0].body.len(), 2);
+    }
+
+    #[test]
+    fn tracked_depth_is_the_json_depth() {
+        for source in [
+            "x",
+            "-x",
+            "not not x",
+            "x + 1 * y - z",
+            "a < b <= c",
+            "f()",
+            "f(x, [1, (2, 3)], -y)",
+            "xs.append(x)",
+            "xs.pop()",
+            "xs.sort",
+            "s.strip().split(',')",
+            "xs[1:len(xs)-1]",
+            "xs[:3]",
+            "xs[1:]",
+            "xs[i][j]",
+            "()",
+            "(1,)",
+            "(a, [b, [c]])",
+            "2 ** -x ** 2",
+            "[[[]]]",
+            "x or y and not z == [f(g(h(1)))]",
+        ] {
+            let mut parser = Parser::new(tokenize(source).unwrap());
+            let (expr, depth) = parser.expr().unwrap();
+            assert_eq!(depth, expr.json_depth(), "{source}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_ceiling_is_a_parse_error() {
+        let ret = |expr: String| format!("def f(x):\n    return {expr}\n");
+        for n in [MAX_NESTING + 1, 1_000, 100_000] {
+            let deep = [
+                ret(format!("{}1{}", "(".repeat(n), ")".repeat(n))),
+                ret(format!("{}1{}", "[".repeat(n), "]".repeat(n))),
+                ret(format!("{}x{}", "f(".repeat(n), ")".repeat(n))),
+                ret(format!("{}1", "-".repeat(n))),
+                ret(format!("{}x", "not ".repeat(n))),
+                ret(format!("x{}", " + 1".repeat(n))),
+                ret(format!("x{}", "[0]".repeat(n))),
+                ret(format!("x{}", ".y()".repeat(n))),
+                ret(format!("2{}", " ** 2".repeat(n))),
+            ];
+            for source in deep {
+                let err = parse_program(&source).unwrap_err();
+                assert!(err.message.contains("levels deep"), "{err}");
+            }
+        }
+        for n in [MAX_NESTING + 1, 1_000] {
+            let mut source = String::from("def f(x):\n");
+            for level in 1..=n {
+                source.push_str(&format!("{}if x:\n", " ".repeat(level)));
+            }
+            source.push_str(&format!("{}return x\n", " ".repeat(n + 1)));
+            let err = parse_program(&source).unwrap_err();
+            assert!(err.message.contains("levels deep"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nesting_within_the_ceiling_parses() {
+        let shallow = MAX_NESTING - 10;
+        let chain = parse_expression(&format!("x{}", " + 1".repeat(shallow))).unwrap();
+        assert_eq!(chain.json_depth(), shallow + 1);
+        let parens = parse_expression(&format!("{}1{}", "(".repeat(shallow), ")".repeat(shallow))).unwrap();
+        assert_eq!(parens, Expr::int(1));
+        let at_ceiling = parse_expression(&format!("x{}", " + 1".repeat(MAX_NESTING - 1))).unwrap();
+        assert_eq!(at_ceiling.json_depth(), MAX_NESTING);
+        assert!(parse_expression(&format!("x{}", " + 1".repeat(MAX_NESTING))).is_err());
     }
 
     #[test]

@@ -137,6 +137,24 @@ impl Seq {
         }
     }
 
+    /// [`Seq::size_units`] if it is at most `limit`; otherwise some number
+    /// above `limit`, found without counting past it. A trie whose units
+    /// come out within the limit caches them.
+    pub(crate) fn units_up_to(&self, limit: usize) -> usize {
+        let tree = match &self.0 {
+            Repr::Flat(items) => return units_up_to(items.iter(), limit),
+            Repr::Tree(tree) => tree,
+        };
+        if let Some(units) = tree.known_units() {
+            return units;
+        }
+        let units = units_up_to(self.iter(), limit);
+        if units <= limit {
+            tree.units.get_or_init(|| units);
+        }
+        units
+    }
+
     /// The sequence with `item` appended. A full flat sequence or a full
     /// tail becomes a trie leaf as it is, without a copy.
     pub fn push(&self, item: Value) -> Seq {
@@ -422,6 +440,18 @@ fn cached(units: Option<usize>) -> OnceLock<usize> {
 
 fn sum_units<'a>(items: impl Iterator<Item = &'a Value>) -> usize {
     items.fold(0, |sum, item| sum.saturating_add(item.size_units()))
+}
+
+/// The elements' summed units if at most `limit`, else some number above it.
+fn units_up_to<'a>(items: impl Iterator<Item = &'a Value>, limit: usize) -> usize {
+    let mut sum = 0usize;
+    for item in items {
+        sum = sum.saturating_add(item.units_up_to(limit - sum));
+        if sum > limit {
+            break;
+        }
+    }
+    sum
 }
 
 /// The empty sequence.

@@ -33,6 +33,13 @@ pub use crate::seq::{Seq, WIDTH};
 /// hostile program can make one step allocate.
 pub const MAX_SEQUENCE_LEN: usize = 1 << 20;
 
+/// The largest value, in [`Value::size_units`], a program may hold in a
+/// variable. Far above what a correct solution of an introductory
+/// assignment builds; a value that doubles through sharing (`x = [x, x]`)
+/// reaches it in 16 steps, and every walk over a value (`str`, `==`,
+/// hashing) stays proportional to it.
+pub const MAX_VALUE_UNITS: usize = 64 * 1024;
+
 /// `Ok` when a sequence of `len` elements may be built.
 ///
 /// # Errors
@@ -93,6 +100,25 @@ impl Value {
             Value::Int(_) | Value::Float(_) | Value::Bool(_) | Value::None | Value::Undef => 1,
             Value::Str(s) => 1 + s.len(),
             Value::List(items) | Value::Tuple(items) => items.size_units().saturating_add(1),
+        }
+    }
+
+    /// `true` when [`Value::size_units`] exceeds `limit`. Counting stops
+    /// past the limit, so the cost is bounded by it however much the value
+    /// shares (a list holding itself twice, 40 levels deep, counts 2^40).
+    pub fn exceeds_units(&self, limit: usize) -> bool {
+        self.units_up_to(limit) > limit
+    }
+
+    /// [`Value::size_units`] if it is at most `limit`; otherwise some
+    /// number above `limit`.
+    pub(crate) fn units_up_to(&self, limit: usize) -> usize {
+        match self {
+            Value::List(items) | Value::Tuple(items) => match limit.checked_sub(1) {
+                Some(rest) => items.units_up_to(rest).saturating_add(1),
+                None => 1,
+            },
+            scalar => scalar.size_units(),
         }
     }
 
@@ -609,6 +635,32 @@ pub mod ops {
 mod tests {
     use super::ops;
     use super::*;
+
+    #[test]
+    fn exceeds_units_agrees_with_size_units_and_stops_at_the_limit() {
+        let mut doubled = Value::list(vec![Value::Int(1)]);
+        let mut values = vec![Value::Undef, Value::str("abc"), Value::list(Vec::new())];
+        for _ in 0..12 {
+            doubled = Value::list(vec![doubled.clone(), doubled]);
+            values.push(doubled.clone());
+        }
+        values.push(Value::list((0..100).map(Value::Int).collect::<Vec<_>>()));
+        values.push(Value::tuple((0..40).map(|_| doubled.clone()).collect::<Vec<_>>()));
+        for value in &values {
+            let units = value.size_units();
+            for limit in [0, 1, 2, 3, 50, units.saturating_sub(1), units, units + 1, MAX_VALUE_UNITS] {
+                assert_eq!(value.exceeds_units(limit), units > limit, "{limit} vs {units}");
+            }
+        }
+        // 60 doublings share one list per level: 2^60 units, counted only
+        // as far as the limit.
+        for _ in 0..48 {
+            doubled = Value::list(vec![doubled.clone(), doubled]);
+        }
+        assert!(doubled.exceeds_units(MAX_VALUE_UNITS));
+        let many = ops::mul(&Value::list(vec![doubled]), &Value::Int(MAX_SEQUENCE_LEN as i64)).unwrap();
+        assert!(many.exceeds_units(MAX_VALUE_UNITS));
+    }
 
     #[test]
     fn numeric_equality_crosses_types() {

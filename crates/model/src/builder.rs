@@ -143,6 +143,38 @@ fn make_ite(cond: Expr, then: Expr, otherwise: Expr) -> Expr {
 /// triggers for pathological inputs, never for realistic student programs).
 const MAX_EXPR_SIZE: usize = 20_000;
 
+/// The deepest, in [`Expr::json_depth`], any expression of a built program
+/// may nest. Composition nests deeper than the source (every straight-line
+/// reassignment substitutes the previous value, every enclosing branch adds
+/// an `ite`), so the bound is kept here rather than by the parsers: 3,000
+/// lines of `x = x + 1` hold no expression deeper than 3, but compose to
+/// one 3,000 levels deep. A saved cluster index stores every expression of
+/// a learned program, and this is the deepest one it can load back.
+pub const MAX_EXPR_DEPTH: usize = 122;
+
+/// Refuses a composed expression past [`MAX_EXPR_SIZE`] or
+/// [`MAX_EXPR_DEPTH`].
+fn check_composed(expr: &Expr, line: u32) -> Result<(), LowerError> {
+    let size = expr.size();
+    if size > MAX_EXPR_SIZE {
+        return Err(LowerError::new(line, "composed update expression grew too large"));
+    }
+    // A node nests its children at most two JSON levels deeper (a call's
+    // arguments sit in an array of their own), so small expressions need
+    // no second walk.
+    if 2 * size <= MAX_EXPR_DEPTH {
+        return Ok(());
+    }
+    let depth = expr.json_depth();
+    if depth > MAX_EXPR_DEPTH {
+        return Err(LowerError::new(
+            line,
+            format!("expression nested {depth} levels deep, a program may nest at most {MAX_EXPR_DEPTH}"),
+        ));
+    }
+    Ok(())
+}
+
 #[derive(Debug, Clone)]
 struct BlockCtx {
     /// Composed update expressions over block-entry values.
@@ -183,9 +215,7 @@ impl BlockCtx {
     fn assign(&mut self, var: &str, value: Expr, line: u32) -> Result<(), LowerError> {
         let value =
             if is_true(&self.guard) { value } else { make_ite(self.guard.clone(), value, self.current(var)) };
-        if value.size() > MAX_EXPR_SIZE {
-            return Err(LowerError::new(line, "composed update expression grew too large"));
-        }
+        check_composed(&value, line)?;
         self.env.insert(var.to_owned(), value);
         self.lines.insert(var.to_owned(), line);
         Ok(())
@@ -387,6 +417,7 @@ impl ModelBuilder {
                         line: loop_line,
                         description: format!("the loop condition at line {loop_line}"),
                     });
+                    check_composed(&cond, loop_line)?;
                     self.prog.set_update(cond_loc, special::COND, cond, loop_line);
                     self.prog.set_succ(before, Succ::Loc(cond_loc), Succ::Loc(cond_loc));
 
@@ -415,6 +446,7 @@ impl ModelBuilder {
                     if !is_true(&ctx.guard) {
                         branch_cond = make_ite(ctx.guard.clone(), branch_cond, FALSE);
                     }
+                    check_composed(&branch_cond, *line)?;
                     let branch_loc = self.emit_block(LocKind::Branch, chunk_line, "before the branch", &ctx);
                     self.prog.set_update(branch_loc, special::COND, branch_cond, *line);
                     self.connect(&pending, branch_loc);
@@ -497,7 +529,7 @@ impl ModelBuilder {
                 if !is_true(&ctx.guard) {
                     branch_cond = make_ite(ctx.guard.clone(), branch_cond, FALSE);
                 }
-                let _ = line;
+                check_composed(&branch_cond, *line)?;
                 let mut then_ctx = ctx.clone();
                 let mut else_ctx = ctx.clone();
                 self.lower_stmts(then_body, &mut then_ctx)?;
@@ -516,12 +548,7 @@ impl ModelBuilder {
                         ctx.env.insert(var.clone(), then_value);
                     } else {
                         let merged = make_ite(branch_cond.clone(), then_value, else_value);
-                        if merged.size() > MAX_EXPR_SIZE {
-                            return Err(LowerError::new(
-                                stmt.line(),
-                                "composed update expression grew too large",
-                            ));
-                        }
+                        check_composed(&merged, stmt.line())?;
                         ctx.env.insert(var.clone(), merged);
                     }
                     let line = then_ctx
@@ -533,6 +560,7 @@ impl ModelBuilder {
                     ctx.lines.insert(var, line);
                 }
                 ctx.guard = make_ite(branch_cond, then_ctx.guard, else_ctx.guard);
+                check_composed(&ctx.guard, stmt.line())?;
                 ctx.maybe_returned |= then_ctx.maybe_returned || else_ctx.maybe_returned;
             }
             SurfaceStmt::Return { value, line } => {

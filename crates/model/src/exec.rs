@@ -217,13 +217,15 @@ pub struct Fuel {
     /// [`Value::size_units`]. A trace keeps every step's post-state alive, so
     /// a diverging program that *grows* data every iteration (`out = out +
     /// line` in an infinite loop) would otherwise stay within `max_steps`
-    /// while the values its trace holds balloon to gigabytes.
+    /// while the values its trace holds balloon to gigabytes. Defaults to
+    /// [`clara_lang::value::MAX_VALUE_UNITS`], the grading interpreter's
+    /// ceiling.
     pub max_value_units: usize,
 }
 
 impl Default for Fuel {
     fn default() -> Self {
-        Fuel { max_steps: 5_000, max_value_units: 64 * 1024 }
+        Fuel { max_steps: 5_000, max_value_units: clara_lang::value::MAX_VALUE_UNITS }
     }
 }
 
@@ -294,7 +296,7 @@ impl<'p> Executor<'p> {
                 let memory = Memory { slots: &self.slots, values: &pre };
                 for &(slot, expr) in updates {
                     let value = eval_expr(expr, &memory).unwrap_or(Value::Undef);
-                    oversized |= value.size_units() > fuel.max_value_units;
+                    oversized |= value.exceeds_units(fuel.max_value_units);
                     values[slot] = value;
                 }
                 post

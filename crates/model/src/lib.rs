@@ -48,7 +48,7 @@ pub mod program;
 pub mod surface;
 pub mod unparse;
 
-pub use builder::ModelBuilder;
+pub use builder::{ModelBuilder, MAX_EXPR_DEPTH};
 pub use exec::{execute, execute_on_inputs, initial_memory, Fuel, Memory, Slots, Step, Trace, TraceStatus};
 pub use frontend::{Frontend, FrontendError, Lang, MiniPyFrontend, ParsedSubmission, MINIPY};
 pub use lower::{lower_entry, lower_function, surface_function, LowerError};

@@ -164,3 +164,26 @@ def f(n):
 ";
     assert_trace_equivalent(src, "f", &ints(&[0, 1, 3, 5]));
 }
+
+#[test]
+fn composition_past_the_depth_bound_is_unsupported() {
+    // Every statement is three levels deep, but straight-line composition
+    // substitutes each `x` into the next: 3,000 lines would compose to one
+    // expression 3,000 levels deep.
+    let lines = |n: usize| format!("def f(x):\n{}    return x\n", "    x = x + 1\n".repeat(n));
+    let err = lower_entry(&parse_program(&lines(3_000)).unwrap(), "f").unwrap_err();
+    assert!(err.message.contains("levels deep"), "{err}");
+    // Nested branches compose `ite` guards the same way.
+    let mut nested = String::from("def f(x):\n");
+    for level in 1..=120 {
+        nested.push_str(&format!("{}if x > {level}:\n", "    ".repeat(level)));
+    }
+    nested.push_str(&format!("{}x = 0\n    return x\n", "    ".repeat(121)));
+    let err = lower_entry(&parse_program(&nested).unwrap(), "f").unwrap_err();
+    assert!(err.message.contains("levels deep"), "{err}");
+
+    let deepest = lower_entry(&parse_program(&lines(clara_model::MAX_EXPR_DEPTH - 1)).unwrap(), "f").unwrap();
+    let depth = deepest.locs().flat_map(|loc| deepest.updates_at(loc)).map(|(_, e)| e.json_depth()).max();
+    assert_eq!(depth, Some(clara_model::MAX_EXPR_DEPTH));
+    assert_trace_equivalent(&lines(clara_model::MAX_EXPR_DEPTH - 1), "f", &ints(&[0, 5]));
+}

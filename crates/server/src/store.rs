@@ -54,6 +54,10 @@ pub const STORE_FORMAT_MIN_COMPAT: u32 = 2;
 /// nested past the JSON parser's limit would no longer load.
 pub const MAX_STORED_EXPR_DEPTH: usize = serde_json::RECURSION_LIMIT - 6;
 
+// Lowering already refuses a program nested deeper than this, so the guard
+// in `check_storable` is a backstop.
+const _: () = assert!(clara_model::MAX_EXPR_DEPTH == MAX_STORED_EXPR_DEPTH);
+
 /// Why a store could not be saved or loaded.
 #[derive(Debug)]
 pub enum StoreError {

@@ -78,6 +78,35 @@ fn stored_index_roundtrips_through_disk() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn longest_trace_only_grows_under_learns_and_survives_a_warm_load() {
+    let problem = derivatives();
+    let dataset = generate_dataset(
+        &problem,
+        DatasetConfig { correct_count: 30, incorrect_count: 0, ..DatasetConfig::default() },
+    );
+    let inputs = problem.inputs();
+    let (mut store, _) = ClusterStore::build(&problem, std::iter::empty(), ClaraConfig::default());
+    assert_eq!(store.engine().longest_trace(), 0);
+    let (mut learned, mut longest_learned) = (0, 0);
+    for solution in &dataset.correct {
+        let before = store.engine().longest_trace();
+        let Ok((next, _)) = store.with_learned(&solution.source) else { continue };
+        store = next;
+        learned += 1;
+        let analyzed =
+            AnalyzedProgram::from_text(&solution.source, problem.entry, &inputs, Fuel::default()).unwrap();
+        longest_learned = analyzed.traces.iter().map(|t| t.steps.len()).fold(longest_learned, usize::max);
+        assert!(store.engine().longest_trace() >= before, "a learn lowered the longest trace");
+        assert_eq!(store.engine().longest_trace(), longest_learned);
+    }
+    assert!(learned >= 20, "only {learned} solutions learned");
+
+    let warm = ClusterStore::from_json(&store.to_json(), &problem, ClaraConfig::default()).unwrap();
+    assert_eq!(warm.engine().longest_trace(), store.engine().longest_trace());
+    assert_eq!(warm.engine().attempt_fuel(), store.engine().attempt_fuel());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
