@@ -140,11 +140,29 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// The mixed-language problem set: both frontends must appear so the fleet
 /// splits MiniPy and MiniC indexes across shards.
+///
+/// The smoke subset is one problem per shard of a 2-shard ring, the second
+/// of the other frontend, so that the 2-shard fleet run loads both shard
+/// processes (of the first two problems of each frontend, three hash to
+/// the same shard). The chaos scenario keeps those four problems.
 fn select_problems(mode: RunMode) -> Vec<Problem> {
-    if mode.smoke {
+    if mode.chaos {
         let mut problems: Vec<Problem> = all_mooc_problems().into_iter().take(2).collect();
         problems.extend(all_minic_problems().into_iter().take(2));
         problems
+    } else if mode.smoke {
+        let ring = HashRing::new(2);
+        let candidates: Vec<Problem> = all_mooc_problems().into_iter().chain(all_minic_problems()).collect();
+        let owned_by = |shard: usize, other_than: Option<Lang>| {
+            candidates
+                .iter()
+                .find(|p| ring.owner(p.name, p.lang.as_str()) == shard && Some(p.lang) != other_than)
+                .cloned()
+                .expect("every shard of a 2-shard ring owns a problem")
+        };
+        let first = owned_by(0, None);
+        let second = owned_by(1, Some(first.lang));
+        vec![first, second]
     } else {
         let mut problems = mode.problems(all_mooc_problems());
         problems.extend(all_minic_problems());
@@ -572,7 +590,7 @@ fn run_chaos(mode: RunMode) {
     let corpus_label = format!("chaos fleet: {SHARDS} shards + router, faults {FAULT_SPEC}");
     println!("Serve chaos — fault-injected fleet with shard kill/restart ({corpus_label}):");
 
-    let problems = select_problems(RunMode { smoke: true, chaos: true });
+    let problems = select_problems(mode);
     let datasets: Vec<Dataset> = problems
         .iter()
         .map(|problem| {
@@ -872,7 +890,7 @@ fn main() {
     }
     let scale = mode.scale();
     let corpus_label = if mode.smoke {
-        "smoke subset: 2 MiniPy + 2 MiniC problems, 40 correct + 8 incorrect each, 150 requests".to_owned()
+        "smoke subset: 1 MiniPy + 1 MiniC problem, one per shard of a 2-shard ring, 40 correct + 8 incorrect each, 150 requests".to_owned()
     } else {
         format!("{} + MiniC translations", mode.corpus_label(scale))
     };

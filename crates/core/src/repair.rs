@@ -25,6 +25,14 @@
 //! variable and every implementation variable may be deleted, which makes the
 //! trivial repair always available and the algorithm complete for clusters
 //! with matching control flow.
+//!
+//! Steps 1 and 2 name every variable by its position in its program's
+//! `vars`. A partial relation ω is one target per source variable, the
+//! sources being the variables of the expression it translates, and one
+//! enumerator walks both directions: implementation → representative for
+//! `(ω, •)` and representative → implementation or ⋆ for `(ω⁻¹, ω(e))`.
+//! Names come back only to build a replacement expression, to evaluate an
+//! expression under ω, and to decode the winning assignment.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -397,7 +405,7 @@ pub fn repair_attempt_retrieved(
     // itself when many clusters share the attempt's control flow).
     let cluster_config = RepairConfig { verify: false, ..config.clone() };
     let slot_exprs = slot_exprs(&attempt.program);
-    let slots = ImplSlots::new(&slot_exprs, attempt.program.vars.len());
+    let slots = ImplSlots::new(&slot_exprs, &attempt.program.vars);
     let scanned = shortlist.as_ref().unwrap_or(&candidates);
     let mut examined = scanned.len();
     let mut budget_exhausted = false;
@@ -595,16 +603,16 @@ fn prune_dominated(candidates: &mut Vec<CandidateRepair>, candidates_by_slot: &m
     for ids in candidates_by_slot.iter().filter(|ids| ids.len() > 1) {
         // A candidate's interchangeability class within its slot: its
         // sorted dependencies.
-        let keys: Vec<Vec<&(String, MapTarget)>> = ids
+        let keys: Vec<Vec<(usize, MapTarget)>> = ids
             .iter()
             .map(|&i| {
-                let mut deps: Vec<_> = candidates[i].dependencies.iter().collect();
-                deps.sort();
+                let mut deps = candidates[i].dependencies.clone();
+                deps.sort_unstable();
                 deps
             })
             .collect();
         // Dominance class → cheapest cost seen.
-        let mut cheapest: HashMap<&[&(String, MapTarget)], i64> = HashMap::new();
+        let mut cheapest: HashMap<&[(usize, MapTarget)], i64> = HashMap::new();
         for (key, &i) in keys.iter().zip(ids) {
             let entry = cheapest.entry(key).or_insert(candidates[i].cost);
             *entry = (*entry).min(candidates[i].cost);
@@ -733,26 +741,43 @@ fn trivial_rewrite_repair(clusters: &[Cluster], attempt: &AnalyzedProgram) -> Op
     })
 }
 
-/// The target an expression variable is mapped to while enumerating partial
-/// variable relations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Where ω sends one variable: a variable of the other program, by its
+/// position in that program's `vars`, or ⋆, the fresh implementation
+/// variable introduced for a representative variable (§5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum MapTarget {
-    /// An existing variable of the other program.
-    Existing(String),
-    /// A fresh variable introduced for the given representative variable.
-    Fresh(String),
+    Existing(usize),
+    Fresh,
+}
+
+impl MapTarget {
+    fn existing(self) -> Option<usize> {
+        match self {
+            MapTarget::Existing(position) => Some(position),
+            MapTarget::Fresh => None,
+        }
+    }
+}
+
+/// Which way a partial variable relation ω runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Direction {
+    /// Implementation → representative variables, for `(ω, •)` repairs.
+    Keep,
+    /// Representative → implementation variables or ⋆, for `(ω⁻¹, ω(e))`
+    /// repairs.
+    Replace,
 }
 
 /// Variable-compatibility data hoisted out of the per-candidate work of
 /// [`repair_against_cluster`]: the `vars_compatible` matrix and the
 /// add/delete permissions depend only on the two variable sets, so they are
 /// computed once per cluster (O(vars²)) instead of per (location, candidate,
-/// ω-extension).
+/// ω-extension). Variables are positions in the programs' `vars`.
 struct CompatInfo {
-    rep_index: HashMap<String, usize>,
-    impl_index: HashMap<String, usize>,
     rep_count: usize,
-    /// `matrix[impl_idx * rep_count + rep_idx]`.
+    /// `matrix[pair(v₂, v₁)]`: implementation variable `v₂` may map to
+    /// representative variable `v₁`.
     matrix: Vec<bool>,
     /// Indexed by representative variable.
     addable: Vec<bool>,
@@ -762,36 +787,116 @@ struct CompatInfo {
 
 impl CompatInfo {
     fn new(rep: &Program, attempt: &Program) -> Self {
-        let rep_count = rep.vars.len();
-        let rep_index: HashMap<String, usize> =
-            rep.vars.iter().enumerate().map(|(i, v)| (v.clone(), i)).collect();
-        let impl_index: HashMap<String, usize> =
-            attempt.vars.iter().enumerate().map(|(i, v)| (v.clone(), i)).collect();
-        let mut matrix = vec![false; attempt.vars.len() * rep_count];
-        for (i, impl_var) in attempt.vars.iter().enumerate() {
-            for (r, rep_var) in rep.vars.iter().enumerate() {
-                matrix[i * rep_count + r] = vars_compatible(impl_var, rep_var, &attempt.params, &rep.params);
-            }
-        }
+        let matrix = attempt
+            .vars
+            .iter()
+            .flat_map(|impl_var| {
+                rep.vars
+                    .iter()
+                    .map(|rep_var| vars_compatible(impl_var, rep_var, &attempt.params, &rep.params))
+            })
+            .collect();
         let addable = rep.vars.iter().map(|v| can_add(v, &rep.params, &attempt.params)).collect();
         let deletable = attempt.vars.iter().map(|v| can_delete(v, &attempt.params, &rep.params)).collect();
-        CompatInfo { rep_index, impl_index, rep_count, matrix, addable, deletable }
+        CompatInfo { rep_count: rep.vars.len(), matrix, addable, deletable }
     }
 
-    fn compatible(&self, impl_var: &str, rep_var: &str) -> bool {
-        match (self.impl_index.get(impl_var), self.rep_index.get(rep_var)) {
-            (Some(&i), Some(&r)) => self.matrix[i * self.rep_count + r],
-            _ => false,
+    /// The index of the pair `(v₂, v₁)` in `matrix` and in
+    /// [`StagedRepair::pair_vars`].
+    fn pair(&self, impl_var: usize, rep_var: usize) -> usize {
+        impl_var * self.rep_count + rep_var
+    }
+
+    fn compatible(&self, impl_var: usize, rep_var: usize) -> bool {
+        self.matrix[self.pair(impl_var, rep_var)]
+    }
+
+    /// Enumerates the injective partial relations ω from `sources` (see
+    /// [`omega_sources`]) to the other program's variables, with
+    /// `ω(sources[0]) = first` fixed, and calls `visit` with each: ω is one
+    /// target per source, in source order. Each source tries the
+    /// compatible, still unused targets in `vars` order, then ⋆ when
+    /// replacing and the source may be added. Stops after `cap` visits.
+    fn for_each_relation(
+        &self,
+        direction: Direction,
+        sources: &[usize],
+        first: usize,
+        cap: usize,
+        visit: &mut dyn FnMut(&[MapTarget]),
+    ) {
+        let targets = match direction {
+            Direction::Keep => self.rep_count,
+            // One `deletable` entry per implementation variable.
+            Direction::Replace => self.deletable.len(),
+        };
+        let mut relations = Relations {
+            compat: self,
+            direction,
+            sources,
+            omega: vec![MapTarget::Existing(first); sources.len()],
+            used: (0..targets).map(|target| target == first).collect(),
+            left: cap,
+        };
+        relations.extend(1, visit);
+    }
+}
+
+/// The state of one [`CompatInfo::for_each_relation`] walk: ω so far, the
+/// targets it uses, and the visits left under the cap.
+struct Relations<'a> {
+    compat: &'a CompatInfo,
+    direction: Direction,
+    sources: &'a [usize],
+    omega: Vec<MapTarget>,
+    used: Vec<bool>,
+    left: usize,
+}
+
+impl Relations<'_> {
+    /// Maps `sources[index..]` in every admissible way.
+    fn extend(&mut self, index: usize, visit: &mut dyn FnMut(&[MapTarget])) {
+        if self.left == 0 {
+            return;
+        }
+        let Some(&source) = self.sources.get(index) else {
+            self.left -= 1;
+            visit(&self.omega);
+            return;
+        };
+        for target in 0..self.used.len() {
+            let compatible = match self.direction {
+                Direction::Keep => self.compat.compatible(source, target),
+                Direction::Replace => self.compat.compatible(target, source),
+            };
+            if self.used[target] || !compatible {
+                continue;
+            }
+            self.omega[index] = MapTarget::Existing(target);
+            self.used[target] = true;
+            self.extend(index + 1, visit);
+            self.used[target] = false;
+        }
+        if self.direction == Direction::Replace && self.compat.addable[source] {
+            self.omega[index] = MapTarget::Fresh;
+            self.extend(index + 1, visit);
         }
     }
+}
 
-    fn can_add(&self, rep_var: &str) -> bool {
-        self.rep_index.get(rep_var).is_some_and(|&r| self.addable[r])
+/// The variables a partial relation ω for the update of `own` maps: `own`
+/// first, then the other variables of `expr` in [`Expr::variables`] order,
+/// all as positions in `vars`. `None` when `expr` reads a variable missing
+/// from `vars`, which no ω can map.
+fn omega_sources(expr: &Expr, own: usize, vars: &[String]) -> Option<Vec<usize>> {
+    let mut sources = vec![own];
+    for name in expr.variables() {
+        let position = vars.iter().position(|v| *v == name)?;
+        if position != own {
+            sources.push(position);
+        }
     }
-
-    fn can_delete(&self, impl_var: &str) -> bool {
-        self.impl_index.get(impl_var).is_some_and(|&i| self.deletable[i])
-    }
+    Some(sources)
 }
 
 /// The update `U(ℓ, v)` of every location and variable of `program`, in
@@ -800,21 +905,33 @@ fn slot_exprs(program: &Program) -> Vec<Expr> {
     program.locs().flat_map(|loc| program.vars.iter().map(move |v| program.update(loc, v))).collect()
 }
 
-/// An attempt's `(ℓ, v₂)` slots: each slot's implementation expression and
-/// its edit-distance tree. Built once per attempt, before any cluster is
-/// staged, and shared read-only by every cluster staged against the
-/// attempt, on every thread of [`run_candidates`].
+/// An attempt's `(ℓ, v₂)` slots: each slot's implementation expression, its
+/// edit-distance tree and its ω sources. Built once per attempt, before any
+/// cluster is staged, and shared read-only by every cluster staged against
+/// the attempt, on every thread of [`run_candidates`].
 struct ImplSlots<'a> {
     /// `exprs[ℓ × |V| + v₂]` is `U(ℓ, v₂)`, where `v₂` is the position of
     /// the variable in the attempt's `vars`.
     exprs: &'a [Expr],
     trees: Vec<PreparedTree<'a>>,
+    /// [`omega_sources`] of each slot's expression.
+    sources: Vec<Option<Vec<usize>>>,
     var_count: usize,
 }
 
 impl<'a> ImplSlots<'a> {
-    fn new(exprs: &'a [Expr], var_count: usize) -> Self {
-        ImplSlots { exprs, trees: exprs.iter().map(PreparedTree::from_expr).collect(), var_count }
+    fn new(exprs: &'a [Expr], vars: &[String]) -> Self {
+        let var_count = vars.len();
+        ImplSlots {
+            exprs,
+            trees: exprs.iter().map(PreparedTree::from_expr).collect(),
+            sources: exprs
+                .iter()
+                .enumerate()
+                .map(|(slot, e)| omega_sources(e, slot % var_count, vars))
+                .collect(),
+            var_count,
+        }
     }
 
     /// The slot of location `loc` and the attempt's `var`-th variable.
@@ -827,9 +944,10 @@ impl<'a> ImplSlots<'a> {
 #[derive(Debug, Clone)]
 struct CandidateRepair {
     loc: Loc,
-    var: String,
+    /// The implementation variable, by position.
+    var: usize,
     /// Pair dependencies: representative variable → implementation target.
-    dependencies: Vec<(String, MapTarget)>,
+    dependencies: Vec<(usize, MapTarget)>,
     /// `None` keeps the implementation expression (`(ω, •)`).
     replacement: Option<Expr>,
     cost: i64,
@@ -896,12 +1014,13 @@ pub fn repair_against_cluster(
     config: &RepairConfig,
 ) -> Result<ClusterRepair, RepairFailure> {
     let slot_exprs = slot_exprs(&attempt.program);
-    let slots = ImplSlots::new(&slot_exprs, attempt.program.vars.len());
+    let slots = ImplSlots::new(&slot_exprs, &attempt.program.vars);
     finish_repair(stage_cluster(cluster, cluster_index, attempt, &slots, config)?, attempt, inputs, config)
 }
 
 /// One cluster's repair problem once the cost of its minimal repair is
 /// known: the local repairs, their ILP, and what decoding a solution needs.
+/// Variables are positions in the programs' `vars`.
 struct StagedRepair<'c> {
     cluster: &'c Cluster,
     cluster_index: usize,
@@ -915,13 +1034,15 @@ struct StagedRepair<'c> {
     candidates: Vec<CandidateRepair>,
     /// The ILP variable selecting each candidate.
     repair_ids: Vec<VarId>,
-    /// `(representative, implementation)` variable pair → its ILP variable.
-    pair_vars: HashMap<(String, String), VarId>,
-    /// Representative variable → the ILP variable adding it.
-    add_vars: HashMap<String, VarId>,
-    /// Implementation variable → the ILP variable deleting it.
-    del_vars: HashMap<String, VarId>,
-    fresh_names: HashMap<String, String>,
+    /// The ILP variable of each compatible pair, indexed by
+    /// [`CompatInfo::pair`].
+    pair_vars: Vec<Option<VarId>>,
+    /// Per representative variable: the ILP variable adding it.
+    add_vars: Vec<Option<VarId>>,
+    /// Per implementation variable: the ILP variable deleting it.
+    del_vars: Vec<Option<VarId>>,
+    /// Per representative variable: its implementation name when added.
+    fresh_names: Vec<Option<String>>,
 }
 
 /// Generates the local repairs of `attempt` against `cluster`, encodes them
@@ -942,8 +1063,8 @@ fn stage_cluster<'c>(
     if !rep.program.same_control_flow(&attempt.program) {
         return Err(RepairFailure::NoMatchingControlFlow);
     }
-    let rep_vars: Vec<String> = rep.program.vars.clone();
-    let impl_vars: Vec<String> = attempt.program.vars.clone();
+    let rep_vars = &rep.program.vars;
+    let impl_vars = &attempt.program.vars;
     let traces = &rep.traces;
     let compat = CompatInfo::new(&rep.program, &attempt.program);
     // One signature cache per cluster: every structurally distinct expression
@@ -955,18 +1076,18 @@ fn stage_cluster<'c>(
     // accumulating) so that candidate replacement expressions and the decoded
     // repair agree and two added variables never share a name (e.g. `#it1`
     // and `it1` both deriving `new_it1`).
-    let fresh_names: HashMap<String, String> = {
-        let mut taken: Vec<String> = impl_vars.clone();
-        let mut map = HashMap::new();
-        for v1 in &rep_vars {
-            if compat.can_add(v1) {
+    let mut taken: Vec<String> = impl_vars.clone();
+    let fresh_names: Vec<Option<String>> = rep_vars
+        .iter()
+        .zip(&compat.addable)
+        .map(|(v1, &addable)| {
+            addable.then(|| {
                 let fresh = fresh_name(v1, &taken);
                 taken.push(fresh.clone());
-                map.insert(v1.clone(), fresh);
-            }
-        }
-        map
-    };
+                fresh
+            })
+        })
+        .collect();
 
     // ------------------------------------------------------------------
     // Step 1: generate the sets of possible local repairs LR(ℓ, v₂).
@@ -975,66 +1096,58 @@ fn stage_cluster<'c>(
     let hasher = RandomState::new();
     // Candidate indices per slot, indexed like `slots`.
     let mut candidates_by_slot: Vec<Vec<usize>> = vec![Vec::new(); slots.exprs.len()];
+    let cap = config.max_relations_per_expr;
 
     for loc in attempt.program.locs() {
-        for (v2_index, v2) in impl_vars.iter().enumerate() {
-            let slot = slots.index(loc, v2_index);
+        for v2 in 0..impl_vars.len() {
+            let slot = slots.index(loc, v2);
             // Every replacement candidate's edit distance compares against
             // this slot's tree, flattened once per attempt.
             let (e_impl, impl_tree) = (&slots.exprs[slot], &slots.trees[slot]);
-            let impl_sources: Vec<String> = {
-                let mut vars = e_impl.variables();
-                if !vars.contains(v2) {
-                    vars.push(v2.clone());
-                }
-                vars
-            };
 
-            for v1 in &rep_vars {
+            for v1 in 0..rep_vars.len() {
                 if !compat.compatible(v2, v1) {
                     continue;
                 }
-                let e_rep = rep.program.update(loc, v1);
+                let e_rep = rep.program.update(loc, &rep_vars[v1]);
 
                 // (ω, •): the implementation expression already matches.
                 // Every ω enumerated here is a distinct relation, so each
                 // match is a distinct candidate.
-                for_each_keep_relation(
-                    &impl_sources,
-                    v2,
-                    v1,
-                    &rep_vars,
-                    &compat,
-                    config.max_relations_per_expr,
-                    &mut |omega| {
+                if let Some(sources) = &slots.sources[slot] {
+                    compat.for_each_relation(Direction::Keep, sources, v1, cap, &mut |omega| {
+                        let rename = |name: &str| {
+                            let i = sources.iter().position(|&s| impl_vars[s] == name)?;
+                            omega[i].existing().map(|r| rep_vars[r].as_str())
+                        };
                         let matched = match sig_cache.as_mut() {
                             // ω(e_impl) is never materialised: e_impl is
                             // evaluated under a renaming view of each memory.
-                            Some(cache) => cache.matches_under_renaming(&e_rep, e_impl, omega, loc),
+                            Some(cache) => cache.matches_under_renaming(&e_rep, e_impl, &rename, loc),
                             None => {
-                                let translated =
-                                    e_impl.substitute(&|name| omega.get(name).map(|t| Expr::Var(t.clone())));
+                                let translated = e_impl.substitute(&|name| rename(name).map(Expr::var));
                                 exprs_match(&e_rep, &translated, traces, loc)
                             }
                         };
                         if matched {
-                            let dependencies = omega
+                            let dependencies = sources
                                 .iter()
-                                .map(|(impl_var, rep_var)| {
-                                    (rep_var.clone(), MapTarget::Existing(impl_var.clone()))
+                                .zip(omega)
+                                .filter_map(|(&impl_var, target)| {
+                                    Some((target.existing()?, MapTarget::Existing(impl_var)))
                                 })
                                 .collect();
                             candidates_by_slot[slot].push(candidates.len());
                             candidates.push(CandidateRepair {
                                 loc,
-                                var: v2.clone(),
+                                var: v2,
                                 dependencies,
                                 replacement: None,
                                 cost: 0,
                             });
                         }
-                    },
-                );
+                    });
+                }
 
                 // (ω⁻¹, ω(e)): take a cluster expression and translate it to
                 // implementation variables. Distinct expressions or relations
@@ -1042,57 +1155,37 @@ fn stage_cluster<'c>(
                 // indices of this `v₁`'s replace candidates by the hash of
                 // their replacement.
                 let mut replaced: HashMap<u64, Vec<usize>> = HashMap::new();
-                for cluster_expr in cluster.expressions(loc, v1) {
-                    let rep_sources: Vec<String> = {
-                        let mut vars = cluster_expr.variables();
-                        if !vars.contains(v1) {
-                            vars.push(v1.clone());
-                        }
-                        vars
-                    };
-                    for_each_replace_relation(
-                        &rep_sources,
-                        v1,
-                        v2,
-                        &impl_vars,
-                        &compat,
-                        config.max_relations_per_expr,
-                        &mut |omega| {
-                            let replacement = cluster_expr.substitute(&|name| {
-                                omega.get(name).map(|target| match target {
-                                    MapTarget::Existing(impl_var) => Expr::Var(impl_var.clone()),
-                                    MapTarget::Fresh(rep_var) => {
-                                        Expr::Var(fresh_names[rep_var.as_str()].clone())
-                                    }
-                                })
-                            });
-                            let same_hash = replaced.entry(hasher.hash_one(&replacement)).or_default();
-                            if same_hash
-                                .iter()
-                                .any(|&i| candidates[i].replacement.as_ref() == Some(&replacement))
-                            {
-                                return;
-                            }
-                            same_hash.push(candidates.len());
-                            let cost = if replacement == *e_impl {
-                                0
-                            } else {
-                                impl_tree.distance_to(&replacement) as i64
+                for cluster_expr in cluster.expressions(loc, &rep_vars[v1]) {
+                    let Some(sources) = omega_sources(cluster_expr, v1, rep_vars) else { continue };
+                    compat.for_each_relation(Direction::Replace, &sources, v2, cap, &mut |omega| {
+                        let replacement = cluster_expr.substitute(&|name| {
+                            let i = sources.iter().position(|&s| rep_vars[s] == name)?;
+                            let target = match omega[i] {
+                                MapTarget::Existing(impl_var) => &impl_vars[impl_var],
+                                MapTarget::Fresh => fresh_names[sources[i]].as_ref()?,
                             };
-                            let dependencies = omega
-                                .iter()
-                                .map(|(rep_var, target)| (rep_var.clone(), target.clone()))
-                                .collect();
-                            candidates_by_slot[slot].push(candidates.len());
-                            candidates.push(CandidateRepair {
-                                loc,
-                                var: v2.clone(),
-                                dependencies,
-                                replacement: Some(replacement),
-                                cost,
-                            });
-                        },
-                    );
+                            Some(Expr::var(target))
+                        });
+                        let same_hash = replaced.entry(hasher.hash_one(&replacement)).or_default();
+                        if same_hash.iter().any(|&i| candidates[i].replacement.as_ref() == Some(&replacement))
+                        {
+                            return;
+                        }
+                        same_hash.push(candidates.len());
+                        let cost = if replacement == *e_impl {
+                            0
+                        } else {
+                            impl_tree.distance_to(&replacement) as i64
+                        };
+                        candidates_by_slot[slot].push(candidates.len());
+                        candidates.push(CandidateRepair {
+                            loc,
+                            var: v2,
+                            dependencies: sources.iter().copied().zip(omega.iter().copied()).collect(),
+                            replacement: Some(replacement),
+                            cost,
+                        });
+                    });
                 }
             }
         }
@@ -1108,47 +1201,38 @@ fn stage_cluster<'c>(
     // exact search is a second ILP span, in `finish_repair`.
     let ilp_timer = crate::timing::StageTimer::start(crate::timing::Stage::Ilp);
     let mut ilp = IlpBuilder::new();
-    let mut pair_vars: HashMap<(String, String), VarId> = HashMap::new(); // (rep, impl)
-    let mut add_vars: HashMap<String, VarId> = HashMap::new(); // rep var → x_add
-    let mut del_vars: HashMap<String, VarId> = HashMap::new(); // impl var → x_del
-
-    for v1 in &rep_vars {
-        for v2 in &impl_vars {
+    let mut pair_vars: Vec<Option<VarId>> = vec![None; compat.matrix.len()];
+    let mut add_vars: Vec<Option<VarId>> = vec![None; rep_vars.len()];
+    for (v1, rep_var) in rep_vars.iter().enumerate() {
+        for v2 in 0..impl_vars.len() {
             if compat.compatible(v2, v1) {
-                let id = ilp.add_var(0);
-                pair_vars.insert((v1.clone(), v2.clone()), id);
+                pair_vars[compat.pair(v2, v1)] = Some(ilp.add_var(0));
             }
         }
-        if compat.can_add(v1) {
-            let cost = add_cost(&rep.program, cluster, v1);
-            add_vars.insert(v1.clone(), ilp.add_var(cost));
+        if compat.addable[v1] {
+            add_vars[v1] = Some(ilp.add_var(add_cost(&rep.program, rep_var)));
         }
     }
-    for v2 in &impl_vars {
-        if compat.can_delete(v2) {
-            let cost = delete_cost(&attempt.program, v2);
-            del_vars.insert(v2.clone(), ilp.add_var(cost));
-        }
-    }
+    let del_vars: Vec<Option<VarId>> = impl_vars
+        .iter()
+        .zip(&compat.deletable)
+        .map(|(v2, &deletable)| deletable.then(|| ilp.add_var(delete_cost(&attempt.program, v2))))
+        .collect();
 
     // Constraint (1): every representative variable is matched exactly once
     // (to an implementation variable or to a fresh one).
-    for v1 in &rep_vars {
-        let mut row: Vec<VarId> =
-            impl_vars.iter().filter_map(|v2| pair_vars.get(&(v1.clone(), v2.clone())).copied()).collect();
-        if let Some(add) = add_vars.get(v1) {
-            row.push(*add);
-        }
+    for v1 in 0..rep_vars.len() {
+        let row: Vec<VarId> = (0..impl_vars.len())
+            .filter_map(|v2| pair_vars[compat.pair(v2, v1)])
+            .chain(add_vars[v1])
+            .collect();
         ilp.add_exactly_one(&row);
     }
     // Constraint (2): every implementation variable is matched exactly once
     // (to a representative variable or deleted).
-    for v2 in &impl_vars {
-        let mut row: Vec<VarId> =
-            rep_vars.iter().filter_map(|v1| pair_vars.get(&(v1.clone(), v2.clone())).copied()).collect();
-        if let Some(del) = del_vars.get(v2) {
-            row.push(*del);
-        }
+    for v2 in 0..impl_vars.len() {
+        let row: Vec<VarId> =
+            (0..rep_vars.len()).filter_map(|v1| pair_vars[compat.pair(v2, v1)]).chain(del_vars[v2]).collect();
         ilp.add_exactly_one(&row);
     }
 
@@ -1158,12 +1242,10 @@ fn stage_cluster<'c>(
     // Constraint (3): exactly one local repair per (ℓ, v₂) — or the variable
     // is deleted.
     for loc in attempt.program.locs() {
-        for (v2_index, v2) in impl_vars.iter().enumerate() {
-            let slot = slots.index(loc, v2_index);
-            let mut row: Vec<VarId> = candidates_by_slot[slot].iter().map(|&i| repair_ids[i]).collect();
-            if let Some(del) = del_vars.get(v2) {
-                row.push(*del);
-            }
+        for (v2, &del) in del_vars.iter().enumerate() {
+            let slot = slots.index(loc, v2);
+            let row: Vec<VarId> =
+                candidates_by_slot[slot].iter().map(|&i| repair_ids[i]).chain(del).collect();
             if row.is_empty() {
                 // A pinned special variable with no candidate local repair:
                 // the cluster cannot repair this attempt.
@@ -1174,19 +1256,19 @@ fn stage_cluster<'c>(
     }
 
     // Constraint (4): a selected local repair forces its variable pairs.
-    for (i, candidate) in candidates.iter().enumerate() {
-        for (rep_var, target) in &candidate.dependencies {
+    for (candidate, &repair_id) in candidates.iter().zip(&repair_ids) {
+        for &(v1, target) in &candidate.dependencies {
             let pair_id = match target {
-                MapTarget::Existing(impl_var) => pair_vars.get(&(rep_var.clone(), impl_var.clone())).copied(),
-                MapTarget::Fresh(rep_var) => add_vars.get(rep_var).copied(),
+                MapTarget::Existing(v2) => pair_vars[compat.pair(v2, v1)],
+                MapTarget::Fresh => add_vars[v1],
             };
             match pair_id {
-                Some(pair_id) => ilp.add_implication(repair_ids[i], pair_id),
+                Some(pair_id) => ilp.add_implication(repair_id, pair_id),
                 None => {
                     // The dependency can never be satisfied (e.g. a pinned
                     // variable paired with a different pinned variable);
                     // forbid the repair.
-                    ilp.add_constraint(vec![(repair_ids[i], 1)], clara_ilp::Cmp::Eq, 0);
+                    ilp.add_constraint(vec![(repair_id, 1)], clara_ilp::Cmp::Eq, 0);
                 }
             }
         }
@@ -1257,61 +1339,52 @@ fn finish_repair(
                 .expect("the exact search reaches the optimum `minimum` found")
         }
     };
+    let chosen = |id: &Option<VarId>| id.is_some_and(|id| solution.value(id));
     let rep = &cluster.representative;
     let rep_vars = &rep.program.vars;
     let impl_vars = &attempt.program.vars;
 
+    // τ, and its inverse extended with the fresh names: the implementation
+    // name of each representative variable.
     let mut var_map = VarMap::new();
-    for ((v1, v2), id) in &pair_vars {
-        if solution.value(*id) {
-            var_map.insert(v2.clone(), v1.clone());
+    let mut back: Vec<Option<&str>> = vec![None; rep_vars.len()];
+    for (pair, id) in pair_vars.iter().enumerate() {
+        if chosen(id) {
+            let (v2, v1) = (pair / rep_vars.len(), pair % rep_vars.len());
+            var_map.insert(impl_vars[v2].clone(), rep_vars[v1].clone());
+            back[v1] = Some(&impl_vars[v2]);
         }
     }
-    // In `rep_vars` and `impl_vars` order (deterministic — `add_vars` and
-    // `del_vars` are hash maps), using the fresh names fixed before
-    // candidate generation.
-    let added_vars: Vec<(String, String)> = rep_vars
-        .iter()
-        .filter(|v1| add_vars.get(*v1).is_some_and(|id| solution.value(*id)))
-        .map(|v1| (v1.clone(), fresh_names[v1.as_str()].clone()))
-        .collect();
-    let deleted_vars: Vec<String> = impl_vars
-        .iter()
-        .filter(|v2| del_vars.get(*v2).is_some_and(|id| solution.value(*id)))
-        .cloned()
-        .collect();
-
-    // Translation of representative variables back to implementation
-    // variables (τ⁻¹ extended with the fresh names).
-    let mut back_map: HashMap<String, String> = HashMap::new();
-    for (v2, v1) in &var_map {
-        back_map.insert(v1.clone(), v2.clone());
+    // In `rep_vars` and `impl_vars` order, using the fresh names fixed
+    // before candidate generation.
+    let mut added_vars: Vec<(String, String)> = Vec::new();
+    for (v1, fresh) in fresh_names.iter().enumerate() {
+        if let Some(fresh) = fresh.as_deref().filter(|_| chosen(&add_vars[v1])) {
+            added_vars.push((rep_vars[v1].clone(), fresh.to_owned()));
+            back[v1] = Some(fresh);
+        }
     }
-    for (v1, fresh) in &added_vars {
-        back_map.insert(v1.clone(), fresh.clone());
-    }
+    let deleted_vars: Vec<String> =
+        impl_vars.iter().zip(&del_vars).filter(|(_, id)| chosen(id)).map(|(v2, _)| v2.clone()).collect();
 
     let mut actions: Vec<RepairAction> = Vec::new();
     let mut repaired = attempt.program.clone();
 
     // Selected local repairs.
-    for (i, candidate) in candidates.iter().enumerate() {
-        if !solution.value(repair_ids[i]) {
+    for (candidate, &repair_id) in candidates.iter().zip(&repair_ids) {
+        if !solution.value(repair_id) {
             continue;
         }
         if let Some(new_expr) = &candidate.replacement {
-            let old = attempt.program.update(candidate.loc, &candidate.var);
+            let var = &impl_vars[candidate.var];
+            let old = attempt.program.update(candidate.loc, var);
             if *new_expr != old {
-                repaired.set_update(
-                    candidate.loc,
-                    &candidate.var,
-                    new_expr.clone(),
-                    attempt.program.update_line(candidate.loc, &candidate.var).unwrap_or(0),
-                );
+                let line = attempt.program.update_line(candidate.loc, var);
+                repaired.set_update(candidate.loc, var, new_expr.clone(), line.unwrap_or(0));
                 actions.push(RepairAction::Modify {
                     loc: candidate.loc,
-                    var: candidate.var.clone(),
-                    line: attempt.program.update_line(candidate.loc, &candidate.var),
+                    var: var.clone(),
+                    line,
                     old,
                     new: new_expr.clone(),
                     cost: candidate.cost,
@@ -1326,8 +1399,9 @@ fn finish_repair(
         repaired.add_var(fresh);
         for loc in rep.program.locs() {
             if let Some(rep_expr) = rep.program.explicit_update(loc, v1) {
-                let translated =
-                    rep_expr.substitute(&|name| back_map.get(name).map(|target| Expr::Var(target.clone())));
+                let translated = rep_expr.substitute(&|name| {
+                    rep_vars.iter().position(|v| v == name).and_then(|r| back[r]).map(Expr::var)
+                });
                 let cost = expr_tree_size(&translated) as i64;
                 repaired.set_update(
                     loc,
@@ -1381,7 +1455,7 @@ fn finish_repair(
 
 /// Cost of introducing the representative variable `v1` into the
 /// implementation: the representative's assignments have to be added.
-fn add_cost(rep: &Program, _cluster: &Cluster, v1: &str) -> i64 {
+fn add_cost(rep: &Program, v1: &str) -> i64 {
     rep.locs().filter_map(|loc| rep.explicit_update(loc, v1)).map(|e| expr_tree_size(e) as i64).sum()
 }
 
@@ -1389,124 +1463,6 @@ fn add_cost(rep: &Program, _cluster: &Cluster, v1: &str) -> i64 {
 /// removed.
 fn delete_cost(attempt: &Program, v2: &str) -> i64 {
     attempt.locs().filter_map(|loc| attempt.explicit_update(loc, v2)).map(|e| expr_tree_size(e) as i64).sum()
-}
-
-/// Enumerates the injective partial relations ω mapping the implementation
-/// variables `sources` (which include `v2`) to representative variables, with
-/// `ω(v2) = v1` fixed, invoking `visit` for each relation. Used for
-/// `(ω, •)` local repairs. Visitor style: the relation map is reused across
-/// the whole enumeration instead of being cloned per result.
-fn for_each_keep_relation(
-    sources: &[String],
-    v2: &str,
-    v1: &str,
-    rep_vars: &[String],
-    compat: &CompatInfo,
-    cap: usize,
-    visit: &mut dyn FnMut(&HashMap<String, String>),
-) {
-    let others: Vec<&String> = sources.iter().filter(|s| s.as_str() != v2).collect();
-    let mut current: HashMap<String, String> = HashMap::new();
-    current.insert(v2.to_owned(), v1.to_owned());
-    let mut used: HashSet<String> = HashSet::new();
-    used.insert(v1.to_owned());
-    let mut visited = 0usize;
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        index: usize,
-        others: &[&String],
-        rep_vars: &[String],
-        compat: &CompatInfo,
-        current: &mut HashMap<String, String>,
-        used: &mut HashSet<String>,
-        visited: &mut usize,
-        cap: usize,
-        visit: &mut dyn FnMut(&HashMap<String, String>),
-    ) {
-        if *visited >= cap {
-            return;
-        }
-        if index == others.len() {
-            *visited += 1;
-            visit(current);
-            return;
-        }
-        let source = others[index];
-        for target in rep_vars {
-            if used.contains(target) || !compat.compatible(source, target) {
-                continue;
-            }
-            current.insert(source.to_string(), target.clone());
-            used.insert(target.clone());
-            recurse(index + 1, others, rep_vars, compat, current, used, visited, cap, visit);
-            used.remove(target);
-            current.remove(source.as_str());
-        }
-    }
-    recurse(0, &others, rep_vars, compat, &mut current, &mut used, &mut visited, cap, visit);
-}
-
-/// Enumerates the injective partial relations ω mapping the representative
-/// variables `sources` (which include `v1`) to implementation variables or
-/// fresh variables, with `ω(v1) = v2` fixed. Used for `(ω⁻¹, ω(e))` local
-/// repairs.
-fn for_each_replace_relation(
-    sources: &[String],
-    v1: &str,
-    v2: &str,
-    impl_vars: &[String],
-    compat: &CompatInfo,
-    cap: usize,
-    visit: &mut dyn FnMut(&HashMap<String, MapTarget>),
-) {
-    let others: Vec<&String> = sources.iter().filter(|s| s.as_str() != v1).collect();
-    let mut current: HashMap<String, MapTarget> = HashMap::new();
-    current.insert(v1.to_owned(), MapTarget::Existing(v2.to_owned()));
-    let mut used: HashSet<String> = HashSet::new();
-    used.insert(v2.to_owned());
-    let mut visited = 0usize;
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        index: usize,
-        others: &[&String],
-        impl_vars: &[String],
-        compat: &CompatInfo,
-        current: &mut HashMap<String, MapTarget>,
-        used: &mut HashSet<String>,
-        visited: &mut usize,
-        cap: usize,
-        visit: &mut dyn FnMut(&HashMap<String, MapTarget>),
-    ) {
-        if *visited >= cap {
-            return;
-        }
-        if index == others.len() {
-            *visited += 1;
-            visit(current);
-            return;
-        }
-        let source = others[index];
-        for target in impl_vars {
-            if used.contains(target) || !compat.compatible(target, source) {
-                continue;
-            }
-            current.insert(source.to_string(), MapTarget::Existing(target.clone()));
-            used.insert(target.clone());
-            recurse(index + 1, others, impl_vars, compat, current, used, visited, cap, visit);
-            used.remove(target);
-            current.remove(source.as_str());
-        }
-        // The representative variable may also map to a fresh implementation
-        // variable (the ⋆ extension of §5).
-        if compat.can_add(source) {
-            current.insert(source.to_string(), MapTarget::Fresh(source.to_string()));
-            recurse(index + 1, others, impl_vars, compat, current, used, visited, cap, visit);
-            current.remove(source.as_str());
-        }
-    }
-    recurse(0, &others, impl_vars, compat, &mut current, &mut used, &mut visited, cap, visit);
 }
 
 #[cfg(test)]
@@ -1659,6 +1615,38 @@ def computeDeriv(poly):
         let b = repair_attempt(&clusters, &attempt, &inputs(), &parallel).best.unwrap();
         assert_eq!(a.total_cost, b.total_cost);
         assert_eq!(a.cluster_index, b.cluster_index);
+    }
+
+    #[test]
+    fn omega_enumeration_order_and_cap() {
+        use MapTarget::{Existing as E, Fresh as F};
+        // Three variables on each side, all compatible except implementation
+        // variable 2 with representative variable 1; only representative
+        // variable 0 may be added.
+        let mut matrix = vec![true; 9];
+        matrix[2 * 3 + 1] = false;
+        let compat =
+            CompatInfo { rep_count: 3, matrix, addable: vec![true, false, false], deletable: vec![true; 3] };
+        let relations = |direction, cap| {
+            let mut seen: Vec<Vec<MapTarget>> = Vec::new();
+            compat.for_each_relation(direction, &[1, 0, 2], 1, cap, &mut |omega| seen.push(omega.to_vec()));
+            seen
+        };
+        // Keep: implementation 1 → representative 1 fixed; implementation 2
+        // cannot take representative 1.
+        assert_eq!(relations(Direction::Keep, usize::MAX), [[E(1), E(0), E(2)], [E(1), E(2), E(0)]]);
+        // Replace: representative 1 → implementation 1 fixed; targets in
+        // `vars` order, then ⋆ for the one addable source.
+        let replace = relations(Direction::Replace, usize::MAX);
+        assert_eq!(replace, [[E(1), E(0), E(2)], [E(1), E(2), E(0)], [E(1), F, E(0)], [E(1), F, E(2)]]);
+        for cap in 0..=replace.len() + 1 {
+            assert_eq!(relations(Direction::Replace, cap), replace[..cap.min(replace.len())]);
+        }
+        // A variable missing from `vars` leaves nothing to enumerate.
+        let vars = ["a".to_owned(), "b".to_owned()];
+        let expr = clara_lang::parse_expression("b + a * b").unwrap();
+        assert_eq!(omega_sources(&expr, 0, &vars), Some(vec![0, 1]));
+        assert_eq!(omega_sources(&clara_lang::parse_expression("a + z").unwrap(), 0, &vars), None);
     }
 
     #[test]

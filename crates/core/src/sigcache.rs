@@ -133,14 +133,13 @@ impl<'t> SignatureCache<'t> {
     /// under a renaming view of each memory. This is the `(ω, •)` fast path
     /// of the repair enumeration, where each `(e2, ω)` pair is queried
     /// exactly once and building `ω(e2)` would only serve the comparison.
-    pub fn matches_under_renaming(
-        &mut self,
-        e1: &Expr,
-        e2: &Expr,
-        omega: &HashMap<String, String>,
-        loc: Loc,
-    ) -> bool {
-        if eq_under_renaming(e1, e2, omega) {
+    /// `rename` is ω: the name a variable of `e2` reads, or `None` to read
+    /// the variable itself.
+    pub fn matches_under_renaming<'r, R>(&mut self, e1: &Expr, e2: &Expr, rename: &R, loc: Loc) -> bool
+    where
+        R: Fn(&str) -> Option<&'r str>,
+    {
+        if eq_under_renaming(e1, e2, rename) {
             // ω(e2) is structurally identical to e1 (the common case for
             // identity updates and for the representative's own expression):
             // trivially equivalent, no evaluation needed.
@@ -149,7 +148,7 @@ impl<'t> SignatureCache<'t> {
         let s1 = self.signature(e1, loc);
         let entry = self.locs.get_mut(&loc.0).expect("loc entry created by signature()");
         for (i, memory) in entry.memories.iter().enumerate() {
-            let env = RenamedEnv { omega, memory: *memory };
+            let env = RenamedEnv { rename, memory: *memory };
             let value = eval_expr(e2, &env).unwrap_or(Value::Undef);
             if !value.py_eq(&s1.values[i]) {
                 return false;
@@ -166,39 +165,38 @@ impl<'t> SignatureCache<'t> {
 }
 
 /// Structural equality of `e1` and `ω(e2)` without materialising `ω(e2)`.
-fn eq_under_renaming(e1: &Expr, e2: &Expr, omega: &HashMap<String, String>) -> bool {
+fn eq_under_renaming<'r>(e1: &Expr, e2: &Expr, rename: &impl Fn(&str) -> Option<&'r str>) -> bool {
     match (e1, e2) {
-        (Expr::Var(a), Expr::Var(b)) => {
-            let renamed = omega.get(b).map(String::as_str).unwrap_or(b);
-            a == renamed
-        }
+        (Expr::Var(a), Expr::Var(b)) => a == rename(b).unwrap_or(b),
         (Expr::Lit(a), Expr::Lit(b)) => a == b,
         (Expr::List(a), Expr::List(b)) | (Expr::Tuple(a), Expr::Tuple(b)) => {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| eq_under_renaming(x, y, omega))
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| eq_under_renaming(x, y, rename))
         }
-        (Expr::Unary(op1, a), Expr::Unary(op2, b)) => op1 == op2 && eq_under_renaming(a, b, omega),
+        (Expr::Unary(op1, a), Expr::Unary(op2, b)) => op1 == op2 && eq_under_renaming(a, b, rename),
         (Expr::Binary(op1, l1, r1), Expr::Binary(op2, l2, r2)) => {
-            op1 == op2 && eq_under_renaming(l1, l2, omega) && eq_under_renaming(r1, r2, omega)
+            op1 == op2 && eq_under_renaming(l1, l2, rename) && eq_under_renaming(r1, r2, rename)
         }
         (Expr::Index(b1, i1), Expr::Index(b2, i2)) => {
-            eq_under_renaming(b1, b2, omega) && eq_under_renaming(i1, i2, omega)
+            eq_under_renaming(b1, b2, rename) && eq_under_renaming(i1, i2, rename)
         }
         (Expr::Slice(b1, l1, h1), Expr::Slice(b2, l2, h2)) => {
             let opt_eq = |x: &Option<Box<Expr>>, y: &Option<Box<Expr>>| match (x, y) {
-                (Some(x), Some(y)) => eq_under_renaming(x, y, omega),
+                (Some(x), Some(y)) => eq_under_renaming(x, y, rename),
                 (None, None) => true,
                 _ => false,
             };
-            eq_under_renaming(b1, b2, omega) && opt_eq(l1, l2) && opt_eq(h1, h2)
+            eq_under_renaming(b1, b2, rename) && opt_eq(l1, l2) && opt_eq(h1, h2)
         }
         (Expr::Call(n1, a1), Expr::Call(n2, a2)) => {
-            n1 == n2 && a1.len() == a2.len() && a1.iter().zip(a2).all(|(x, y)| eq_under_renaming(x, y, omega))
+            n1 == n2
+                && a1.len() == a2.len()
+                && a1.iter().zip(a2).all(|(x, y)| eq_under_renaming(x, y, rename))
         }
         (Expr::Method(r1, n1, a1), Expr::Method(r2, n2, a2)) => {
             n1 == n2
-                && eq_under_renaming(r1, r2, omega)
+                && eq_under_renaming(r1, r2, rename)
                 && a1.len() == a2.len()
-                && a1.iter().zip(a2).all(|(x, y)| eq_under_renaming(x, y, omega))
+                && a1.iter().zip(a2).all(|(x, y)| eq_under_renaming(x, y, rename))
         }
         _ => false,
     }
@@ -206,15 +204,14 @@ fn eq_under_renaming(e1: &Expr, e2: &Expr, omega: &HashMap<String, String>) -> b
 
 /// A memory viewed through a variable renaming ω: looking up `name` reads
 /// `ω(name)` (or `name` itself when unmapped) from the underlying memory.
-struct RenamedEnv<'a> {
-    omega: &'a HashMap<String, String>,
+struct RenamedEnv<'a, R> {
+    rename: &'a R,
     memory: Memory<'a>,
 }
 
-impl clara_lang::Env for RenamedEnv<'_> {
+impl<'r, R: Fn(&str) -> Option<&'r str>> clara_lang::Env for RenamedEnv<'_, R> {
     fn lookup(&self, name: &str) -> Option<Value> {
-        let target = self.omega.get(name).map(String::as_str).unwrap_or(name);
-        self.memory.get(target).cloned()
+        self.memory.get((self.rename)(name).unwrap_or(name)).cloned()
     }
 }
 
@@ -387,13 +384,13 @@ mod tests {
                 .zip(&targets)
                 .map(|(from, to)| ((*from).to_owned(), (*to).to_owned()))
                 .collect();
-            let substituted =
-                e2.substitute(&|name| omega.get(name).map(|t| Expr::Var(t.clone())));
+            let rename = |name: &str| omega.get(name).map(String::as_str);
+            let substituted = e2.substitute(&|name| rename(name).map(Expr::var));
             let traces = vec![trace_over(mems)];
             let mut cache = SignatureCache::new(&traces);
             for loc in [Loc(0), Loc(1)] {
                 let direct = exprs_match(&e1, &substituted, &traces, loc);
-                prop_assert_eq!(cache.matches_under_renaming(&e1, &e2, &omega, loc), direct);
+                prop_assert_eq!(cache.matches_under_renaming(&e1, &e2, &rename, loc), direct);
             }
         }
     }

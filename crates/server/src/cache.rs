@@ -20,7 +20,6 @@
 //! point after the store `RwLock`).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// A bounded least-recently-used map from `u64` keys to `V`.
@@ -32,8 +31,6 @@ pub struct LruCache<V> {
     /// entry's current stamp is live, all others are stale and skipped.
     queue: VecDeque<(u64, u64)>,
     next_stamp: u64,
-    hits: u64,
-    misses: u64,
 }
 
 #[derive(Debug)]
@@ -46,7 +43,7 @@ impl<V> LruCache<V> {
     /// Creates a cache holding at most `capacity` entries; a capacity of 0
     /// disables caching (every lookup misses).
     pub fn new(capacity: usize) -> Self {
-        LruCache { capacity, map: HashMap::new(), queue: VecDeque::new(), next_stamp: 0, hits: 0, misses: 0 }
+        LruCache { capacity, map: HashMap::new(), queue: VecDeque::new(), next_stamp: 0 }
     }
 
     /// Number of live entries.
@@ -59,23 +56,11 @@ impl<V> LruCache<V> {
         self.map.is_empty()
     }
 
-    /// Lookups served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that fell through to the pipeline so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Looks up `key`, marking it most-recently-used on a hit.
     pub fn get(&mut self, key: u64) -> Option<&V> {
         if self.capacity == 0 || !self.map.contains_key(&key) {
-            self.misses += 1;
             return None;
         }
-        self.hits += 1;
         let stamp = self.touch(key);
         let entry = self.map.get_mut(&key).expect("checked above");
         entry.stamp = stamp;
@@ -129,8 +114,6 @@ pub struct StripedCache<V> {
     /// Segment-selection mask (`segments.len() - 1`; length is a power of
     /// two).
     mask: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl<V: Clone> StripedCache<V> {
@@ -143,12 +126,7 @@ impl<V: Clone> StripedCache<V> {
         let segments = (0..stripes)
             .map(|_| Mutex::new(LruCache::new(if capacity == 0 { 0 } else { per_segment })))
             .collect();
-        StripedCache {
-            segments,
-            mask: (stripes - 1) as u64,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        StripedCache { segments, mask: (stripes - 1) as u64 }
     }
 
     fn segment(&self, key: u64) -> &Mutex<LruCache<V>> {
@@ -157,14 +135,6 @@ impl<V: Clone> StripedCache<V> {
 
     /// Looks up `key`, cloning the value out on a hit.
     pub fn get(&self, key: u64) -> Option<V> {
-        let value = self.recheck(key);
-        if value.is_some() { &self.hits } else { &self.misses }.fetch_add(1, Ordering::Relaxed);
-        value
-    }
-
-    /// Looks up `key` like [`get`](Self::get) without counting the lookup:
-    /// a second look at a key whose miss was already counted.
-    pub(crate) fn recheck(&self, key: u64) -> Option<V> {
         self.segment(key).lock().expect("cache segment poisoned").get(key).cloned()
     }
 
@@ -187,11 +157,6 @@ impl<V: Clone> StripedCache<V> {
     pub fn stripes(&self) -> usize {
         self.segments.len()
     }
-
-    /// Cache-wide (hits, misses) counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
 }
 
 #[cfg(test)]
@@ -199,13 +164,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hits_and_misses_are_counted() {
+    fn lookups_miss_until_the_key_is_inserted() {
         let mut cache = LruCache::new(4);
         assert!(cache.get(1).is_none());
         cache.insert(1, "one");
         assert_eq!(cache.get(1), Some(&"one"));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]
@@ -285,7 +248,6 @@ mod tests {
             assert_eq!(cache.get(key), Some(key * 10));
         }
         assert_eq!(cache.get(999), None);
-        assert_eq!(cache.counters(), (32, 1));
     }
 
     #[test]

@@ -87,6 +87,8 @@ struct ServiceMetrics {
     /// Requests answered from the result cache, at the first probe or at a
     /// flight leader's re-check.
     cache_hits: Arc<Counter>,
+    /// Requests whose flight leader found no cached outcome and computed one.
+    cache_misses: Arc<Counter>,
     coalesced: Arc<Counter>,
     learned: Arc<Counter>,
     /// By reason: `syntax`, `unsupported`.
@@ -126,6 +128,7 @@ impl ServiceMetrics {
                 registry.histogram("clara_request_duration_us", &[("status", status.as_str())])
             }),
             cache_hits: registry.counter("clara_cache_hits_total", &[]),
+            cache_misses: registry.counter("clara_cache_misses_total", &[]),
             coalesced: registry.counter("clara_coalesced_total", &[]),
             learned: registry.counter("clara_learned_total", &[]),
             learn_refused: ["syntax", "unsupported"]
@@ -522,13 +525,14 @@ impl FeedbackService {
                 self.metrics.coalesced.inc();
                 (outcome, true)
             }
-            Flight::Leader(guard) => match self.cache.recheck(key) {
+            Flight::Leader(guard) => match self.cache.get(key) {
                 Some(cached) => {
                     self.metrics.cache_hits.inc();
                     guard.complete(cached.clone());
                     (cached, true)
                 }
                 None => {
+                    self.metrics.cache_misses.inc();
                     let outcome = compute();
                     // Cache before completing, so that no duplicate can miss
                     // both the flight and the cache.
@@ -642,9 +646,10 @@ impl FeedbackService {
         true
     }
 
-    /// Hit/miss counters of the result cache's first probe per request.
+    /// The result cache's `(hits, misses)`: `clara_cache_hits_total` and
+    /// `clara_cache_misses_total` of the service's registry.
     pub fn cache_counters(&self) -> (u64, u64) {
-        self.cache.counters()
+        (self.metrics.cache_hits.get(), self.metrics.cache_misses.get())
     }
 }
 
@@ -731,7 +736,9 @@ def computeDeriv(poly):
         assert_eq!(second.id, 2);
         let stats = service.registry().dump(0);
         assert_eq!(stats.counter("clara_cache_hits_total", &[]), 1);
+        assert_eq!(stats.counter("clara_cache_misses_total", &[]), 1);
         assert_eq!(stats.counter("clara_requests_total", &[]), 2);
+        assert_eq!(service.cache_counters(), (1, 1));
     }
 
     #[test]
@@ -816,6 +823,7 @@ def computeDeriv(poly):
         let (coalesced, hits) =
             (counter(&service, "clara_coalesced_total"), counter(&service, "clara_cache_hits_total"));
         assert_eq!(coalesced + hits, 3, "exactly one computation for four requests");
+        assert_eq!(counter(&service, "clara_cache_misses_total"), 1, "one leader computed");
         assert!(coalesced >= 1, "concurrent duplicates must coalesce: {coalesced} coalesced, {hits} hits");
         assert_eq!(responses.iter().filter(|r| !r.cache_hit).count(), 1);
     }
